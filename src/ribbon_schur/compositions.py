@@ -13,6 +13,12 @@ from typing import Iterable, Iterator
 
 Parts = tuple[int, ...]
 
+# Longest accepted component, in decimal digits.  Python refuses to convert
+# ints of more than 4,300 digits to or from text; no component that factor,
+# normalize or class print exceeds the largest input component, so under
+# this cap every output prints too.
+MAX_PART_DIGITS = 1000
+
 
 class CompositionParseError(ValueError):
     """Raised when a composition string cannot be parsed."""
@@ -161,8 +167,9 @@ def enumerate_compositions(n: int) -> Iterator[Composition]:
 def parse_composition(text: str) -> Composition:
     """Parse "1,2,1" or "(1,2,1)" into a composition.
 
-    Rejects zeros, negative numbers and empty input; the error message names
-    the offending token.
+    Components are ASCII decimal numbers of at most ``MAX_PART_DIGITS``
+    digits.  Rejects zeros, negative numbers and empty input; the error
+    message names the offending token.
     """
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
@@ -172,8 +179,13 @@ def parse_composition(text: str) -> Composition:
     parts: list[int] = []
     for token in s.split(","):
         tok = token.strip()
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise CompositionParseError(f"invalid component {tok!r}")
+        if len(tok) > MAX_PART_DIGITS:
+            raise CompositionParseError(
+                f"component {tok[:12]!r}... has {len(tok)} digits,"
+                f" more than {MAX_PART_DIGITS}"
+            )
         value = int(tok)
         if value < 1:
             raise CompositionParseError(f"component must be positive: {tok!r}")

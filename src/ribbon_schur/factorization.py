@@ -2,30 +2,34 @@
 
 Every composition factors uniquely into atoms with no adjacent trivial pair,
 and two ribbon Schur functions are equal exactly when the factor lists agree
-up to reversing individual factors.  That reduces both the equality test and
-the normal form to the factorization computed here.
+up to reversing individual factors (Billera, Thomas and van Willigenburg,
+Adv. Math. 204, 2006).  That reduces both the equality test and the normal
+form to the factorization computed here, which splits off one nontrivial
+two-factor product at a time and recurses on both factors.
 
-The two-factor split search works as follows.  If ``alpha = beta o gamma``
-with ``gamma`` of size q and length t >= 2, then the first t - 1 components
-of ``alpha`` are exactly the first t - 1 components of ``gamma`` (near powers
-of ``gamma`` only touch the junctions), so the last component of the
-candidate is forced by the size.  A candidate is verified by one linear scan
-matching ``gamma`` cyclically: at each copy boundary the next component is
-either the last component of ``gamma`` (a concatenation, so a new part of
-``beta`` starts) or that value plus the first component (a near-concatenation
-merge, so the current part of ``beta`` grows).  The two cases never collide
-because components are positive.
+The split search works on the cuts of ``alpha``, its internal partial sums.
+In ``beta o gamma`` with ``|gamma| = q`` and ``|beta| = m``, each block
+``[jq, (j+1)q]`` holds the cuts R of ``gamma`` shifted by ``jq``, and the cuts
+at multiples of q are those of ``beta`` scaled by q (a concatenation keeps
+the junction, a near concatenation merges it away).  So a split with right
+factor of size q exists exactly when the cuts off the multiples of q,
+reduced mod q, give the same residue set R in every block.  R is read off
+the first block, and the check is that all ``m |R|`` shifted copies are cuts
+and the remaining cuts are multiples of q.  A right factor of length two or
+more needs ``m < length(alpha)``; a single-component right factor is only
+ever needed for the gcd of the parts, because adjacent single-component
+atoms multiply.  One split costs O(l * #{m | n : m < l}) set lookups for a
+composition of length l and size n, independent of the size of the parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import product
+from functools import reduce
+from itertools import accumulate, product
+from math import gcd
 
 from .compositions import Composition, Parts, _compose_raw
-
-_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,119 +51,55 @@ class Factorization:
         return self.factors[i]
 
 
-def _is_trivial_raw(beta: Parts, gamma: Parts) -> bool:
-    if beta == (1,) or gamma == (1,):
-        return True
-    if len(beta) == 1 and len(gamma) == 1:
-        return True
-    return max(beta) == 1 and max(gamma) == 1
-
-
 def is_trivial_pair(beta: Composition, gamma: Composition) -> bool:
     """True for the factorizations that carry no structure: a factor (1),
     two single-component factors, or two all-ones factors."""
-    return _is_trivial_raw(tuple(beta), tuple(gamma))
+    b, g = tuple(beta), tuple(gamma)
+    return b == (1,) or g == (1,) or len(b) == len(g) == 1 or max(b) == max(g) == 1
 
 
-def _inner_divisors(n: int) -> list[int]:
-    out = []
-    for d in range(2, n):
-        if n % d == 0:
-            out.append(d)
-    return out
+def _gaps(cuts: list[int], total: int) -> Parts:
+    # the composition of ``total`` whose internal partial sums are ``cuts``
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
 
 
-def _unfold(alpha: Parts, gamma: Parts, q: int) -> Parts | None:
-    """The unique beta with beta o gamma == alpha, or None."""
-    t = len(gamma)
-    if t == 1:
-        beta = []
-        for a in alpha:
-            b, r = divmod(a, q)
-            if r:
-                return None
-            beta.append(b)
-        return tuple(beta)
-    head = gamma[:-1]
-    tail = gamma[1:-1]
-    last = gamma[-1]
-    merged = last + gamma[0]
-    if alpha[: t - 1] != head:
+def _split(alpha: Parts) -> tuple[Parts, Parts] | None:
+    """The first nontrivial (beta, gamma) with beta o gamma == alpha, or None."""
+    n, c = sum(alpha), len(alpha) - 1
+    if n == c + 1:
+        # (1) and the all-ones compositions split only trivially
         return None
-    la = len(alpha)
-    i = t - 1
-    run = 1
-    beta = []
-    for _ in range(sum(alpha) // q - 1):
-        if i >= la:
-            return None
-        x = alpha[i]
-        if x == last:
-            beta.append(run)
-            run = 1
-            i += 1
-            if alpha[i : i + t - 1] != head:
-                return None
-            i += t - 1
-        elif x == merged:
-            run += 1
-            i += 1
-            if alpha[i : i + t - 2] != tail:
-                return None
-            i += t - 2
-        else:
-            return None
-    if i != la - 1 or alpha[i] != last:
-        return None
-    beta.append(run)
-    return tuple(beta)
-
-
-def _split_candidates(alpha: Parts) -> list[tuple[Parts, Parts]]:
-    """All (beta, gamma) with beta o gamma == alpha and neither factor (1).
-
-    Ordered by size of gamma, then by its length.
-    """
-    n = sum(alpha)
-    found = []
-    for q in _inner_divisors(n):
-        beta = _unfold(alpha, (q,), q)
-        if beta is not None:
-            found.append((beta, (q,)))
-        top = min(q, len(alpha) + 1)
-        prefix = 0
-        for t in range(2, top + 1):
-            prefix += alpha[t - 2]
-            rest = q - prefix
-            if rest < 1:
-                break
-            gamma = alpha[: t - 1] + (rest,)
-            beta = _unfold(alpha, gamma, q)
-            if beta is not None:
-                found.append((beta, gamma))
-    return found
-
-
-def split_pairs(alpha: Composition) -> list[tuple[Composition, Composition]]:
-    """Every way to write ``alpha`` as a two-factor product without (1) factors."""
-    return [
-        (Composition(b), Composition(g)) for b, g in _split_candidates(tuple(alpha))
-    ]
-
-
-def _is_atom(alpha: Parts) -> bool:
-    return all(_is_trivial_raw(b, g) for b, g in _split_candidates(alpha))
+    cuts = list(accumulate(alpha[:-1]))
+    cut_set = set(cuts)
+    for m in range(2, c + 1):
+        if n % m:
+            continue
+        q, k = n // m, c // m
+        # c = m * |R| + (cuts of beta, at most m - 1) forces |R| = k, and R
+        # is read off the first block, so exactly k cuts lie below q
+        if cuts[k - 1] >= q or cuts[k] < q:
+            continue
+        head = cuts[:k]
+        if not all(j + r in cut_set for j in range(q, n, q) for r in head):
+            continue
+        junctions = [j for j in range(1, m) if j * q in cut_set]
+        if len(junctions) + m * k == c:
+            return _gaps(junctions, m), _gaps(head, q)
+    g = gcd(*alpha)
+    if 1 < g < n:
+        return tuple(a // g for a in alpha), (g,)
+    return None
 
 
 def is_atom(alpha: Composition) -> bool:
     """True when every two-factor split of ``alpha`` is trivial."""
-    return _is_atom(tuple(alpha))
+    return _split(tuple(alpha)) is None
 
 
 def is_irreducible(alpha: Composition) -> bool:
     """An atom of length > 1 that is not all ones."""
     a = tuple(alpha)
-    return len(a) > 1 and max(a) > 1 and _is_atom(a)
+    return len(a) > 1 and max(a) > 1 and _split(a) is None
 
 
 def _merge_trivial_neighbours(factors: tuple[Parts, ...]) -> tuple[Parts, ...]:
@@ -179,30 +119,12 @@ def _merge_trivial_neighbours(factors: tuple[Parts, ...]) -> tuple[Parts, ...]:
     return tuple(out)
 
 
-def _factor_dispatch(alpha: Parts, reverse_order: bool) -> tuple[Parts, ...]:
-    candidates = _split_candidates(alpha)
-    if reverse_order:
-        candidates = candidates[::-1]
-    split = None
-    for b, g in candidates:
-        if not _is_trivial_raw(b, g):
-            split = (b, g)
-            break
+def _factor_parts(alpha: Parts) -> tuple[Parts, ...]:
+    split = _split(alpha)
     if split is None:
         return (alpha,)
     beta, gamma = split
-    if reverse_order:
-        left = _factor_dispatch(beta, True)
-        right = _factor_dispatch(gamma, True)
-    else:
-        left = _factor_parts(beta)
-        right = _factor_parts(gamma)
-    return _merge_trivial_neighbours(left + right)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _factor_parts(alpha: Parts) -> tuple[Parts, ...]:
-    return _factor_dispatch(alpha, False)
+    return _merge_trivial_neighbours(_factor_parts(beta) + _factor_parts(gamma))
 
 
 def irreducible_factorization(alpha: Composition) -> Factorization:
@@ -214,13 +136,8 @@ def irreducible_factorization(alpha: Composition) -> Factorization:
     return Factorization(tuple(Composition(f) for f in factors))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _normal_form(alpha: Parts) -> Parts:
-    out: Parts | None = None
-    for f in _factor_parts(alpha):
-        m = min(f, f[::-1])
-        out = m if out is None else _compose_raw(out, m)
-    return out
+    return reduce(_compose_raw, [min(f, f[::-1]) for f in _factor_parts(alpha)])
 
 
 def normalize(alpha: Composition) -> Composition:

@@ -59,3 +59,36 @@ def splits_by_exhaustion(alpha: Parts) -> set[tuple[Parts, Parts]]:
             if compose_by_definition(beta, gamma) == alpha:
                 found.add((beta, gamma))
     return found
+
+
+def trivial_by_definition(beta: Parts, gamma: Parts) -> bool:
+    """A factor (1), two single-component factors, or two all-ones factors."""
+    return (
+        beta == (1,)
+        or gamma == (1,)
+        or len(beta) == len(gamma) == 1
+        or set(beta) == set(gamma) == {1}
+    )
+
+
+def factorization_by_exhaustion(alpha: Parts) -> tuple[Parts, ...]:
+    """Irreducible factors, recursing on the last nontrivial exhaustive split.
+
+    Adjacent factors that form a trivial pair are multiplied back together,
+    which is what makes the factorization unique.
+    """
+    nontrivial = sorted(
+        s for s in splits_by_exhaustion(alpha) if not trivial_by_definition(*s)
+    )
+    if not nontrivial:
+        return (alpha,)
+    beta, gamma = nontrivial[-1]
+    factors = list(factorization_by_exhaustion(beta) + factorization_by_exhaustion(gamma))
+    i = 0
+    while i < len(factors) - 1:
+        if trivial_by_definition(factors[i], factors[i + 1]):
+            factors[i : i + 2] = [compose_by_definition(factors[i], factors[i + 1])]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(factors)

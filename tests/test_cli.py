@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,30 @@ class TestCompositionCommands:
         code, _, err = run(capsys, "equiv", "1,2", "2,x")
         assert code == 2
         assert "'x'" in err
+        # digits that are not ASCII, and a part over the digit cap
+        for text, message in [
+            ("１,2", "invalid component '１'"),
+            ("²,1", "invalid component '²'"),
+            ("1," + "7" * 5000, "'777777777777'... has 5000 digits, more than 1000"),
+        ]:
+            code, _, err = run(capsys, "normalize", text)
+            assert code == 2
+            assert message in err
+
+
+class TestLengthBound:
+    def test_huge_equal_parts_normalize_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "normalize", "1000000000000,1000000000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "1000000000000,1000000000000\n")
+
+    def test_hundred_digit_part_equiv_quickly(self, capsys):
+        big = str(10**99 + 7)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "equiv", f"1,{big},2,3", f"3,2,{big},1")
+        assert time.perf_counter() - start < 1
+        assert code == 0
 
 
 class TestOracleCheck:

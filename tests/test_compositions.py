@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ribbon_schur.compositions import (
+    MAX_PART_DIGITS,
     Composition,
     CompositionParseError,
     compare_lex,
@@ -196,7 +197,9 @@ class TestTextFormat:
     def test_parse_accepts(self, text, expected):
         assert tuple(parse_composition(text)) == expected
 
-    @pytest.mark.parametrize("text", ["", "  ", "()", "1,0,2", "-1,2", "1,,2", "a,b", "1;2"])
+    @pytest.mark.parametrize(
+        "text", ["", "  ", "()", "1,0,2", "-1,2", "1,,2", "a,b", "1;2", "１,2", "²,1"]
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(CompositionParseError):
             parse_composition(text)
@@ -206,6 +209,11 @@ class TestTextFormat:
             parse_composition("1,x,2")
         with pytest.raises(CompositionParseError, match="'0'"):
             parse_composition("1,0,2")
+
+    def test_parse_caps_digits(self):
+        assert parse_composition("9" * MAX_PART_DIGITS) == (10**MAX_PART_DIGITS - 1,)
+        with pytest.raises(CompositionParseError, match="5000 digits"):
+            parse_composition("1," + "7" * 5000)
 
     def test_format(self):
         assert format_composition(C(1, 2, 1)) == "1,2,1"

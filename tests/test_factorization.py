@@ -1,8 +1,14 @@
+import random
+import tracemalloc
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbon_schur.compositions import Composition, compose, enumerate_compositions
 from ribbon_schur.factorization import (
-    _factor_dispatch,
+    _split,
     count_asymmetric_factors,
     equivalence_class,
     equivalent,
@@ -11,10 +17,14 @@ from ribbon_schur.factorization import (
     is_irreducible,
     is_trivial_pair,
     normalize,
-    split_pairs,
 )
 
-from helpers import splits_by_exhaustion
+from helpers import (
+    compositions_up_to,
+    factorization_by_exhaustion,
+    splits_by_exhaustion,
+    trivial_by_definition,
+)
 
 
 def C(*parts):
@@ -23,6 +33,34 @@ def C(*parts):
 
 def all_compositions(n):
     return list(enumerate_compositions(n))
+
+
+# irreducible compositions of size <= 9, found without the library
+IRREDUCIBLE_ATOMS = [
+    a
+    for a in compositions_up_to(9)
+    if len(a) > 1
+    and max(a) > 1
+    and all(trivial_by_definition(*s) for s in splits_by_exhaustion(a))
+]
+
+
+@st.composite
+def atom_products(draw):
+    """2-10 irreducible atoms whose sizes multiply to at most 5 * 10**4,
+    optionally followed by one component (g) with g up to 10**12."""
+    budget = 5 * 10**4
+    factors = []
+    for _ in range(draw(st.integers(2, 10))):
+        fitting = [a for a in IRREDUCIBLE_ATOMS if sum(a) <= budget]
+        if not fitting:
+            break
+        factors.append(draw(st.sampled_from(fitting)))
+        budget //= sum(factors[-1])
+    g = draw(st.none() | st.integers(2, 10**12))
+    if g is not None:
+        factors.append((g,))
+    return factors
 
 
 class TestTrivialPairs:
@@ -36,27 +74,32 @@ class TestTrivialPairs:
 
 class TestSplitPairs:
     def test_frozen_examples(self):
-        assert split_pairs(C(2, 2)) == [(C(1, 1), C(2))]
-        assert split_pairs(C(1, 2, 1)) == [(C(2), C(1, 1))]
-        assert set(split_pairs(C(1, 2, 2, 2, 1))) == {
-            (C(2), C(1, 2, 1)),
-            (C(4), C(1, 1)),
-        }
-        assert split_pairs(C(1, 3)) == []
+        assert _split((2, 2)) == ((1, 1), (2,))
+        assert _split((1, 2, 1)) == ((2,), (1, 1))
+        assert _split((1, 2, 2, 2, 1)) in {((2,), (1, 2, 1)), ((4,), (1, 1))}
+        assert _split((1, 3)) is None
 
     def test_products_reproduce_input(self):
         for n in range(2, 13):
             for alpha in all_compositions(n):
-                for beta, gamma in split_pairs(alpha):
-                    assert compose(beta, gamma) == alpha
-                    assert beta != C(1) and gamma != C(1)
+                split = _split(tuple(alpha))
+                if split is not None:
+                    beta, gamma = split
+                    assert compose(C(*beta), C(*gamma)) == alpha
+                    assert not is_trivial_pair(C(*beta), C(*gamma))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_exhaustive_against_pairwise_scan(self, n):
         for alpha in all_compositions(n):
-            expected = splits_by_exhaustion(tuple(alpha))
-            got = {(tuple(b), tuple(g)) for b, g in split_pairs(alpha)}
-            assert got == expected, alpha
+            a = tuple(alpha)
+            nontrivial = {
+                s for s in splits_by_exhaustion(a) if not trivial_by_definition(*s)
+            }
+            split = _split(a)
+            if nontrivial:
+                assert split in nontrivial, alpha
+            else:
+                assert split is None, alpha
 
 
 class TestAtomsAndIrreducibles:
@@ -107,10 +150,10 @@ class TestFactorization:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_unique_under_exploration_order(self, n):
+        # the reference recurses on the last nontrivial split, _split on the first
         for alpha in all_compositions(n):
-            forward = _factor_dispatch(tuple(alpha), False)
-            backward = _factor_dispatch(tuple(alpha), True)
-            assert forward == backward, alpha
+            factors = irreducible_factorization(alpha).factors
+            assert tuple(map(tuple, factors)) == factorization_by_exhaustion(tuple(alpha))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_reversal_maps_to_reversed_factors(self, n):
@@ -133,6 +176,26 @@ class TestFactorization:
             factors = irreducible_factorization(alpha).factors
             last_asymmetric = [f for f in factors if not f.is_symmetric()][-1]
             assert (alpha < alpha.reverse()) == (last_asymmetric < last_asymmetric.reverse())
+
+
+class TestLengthBound:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(atom_products())
+    def test_recovers_random_atom_products(self, factors):
+        alpha = reduce(compose, map(Composition, factors))
+        assert irreducible_factorization(alpha).factors == tuple(map(Composition, factors))
+
+    def test_no_memo_outlives_a_call(self):
+        rng = random.Random(0)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for _ in range(200):
+                normalize(Composition(rng.randint(1, 9) for _ in range(2000)))
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 2 * 2**20
 
 
 class TestNormalize:
