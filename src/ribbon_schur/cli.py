@@ -33,7 +33,7 @@ from .dirichlet import (
 )
 from .factorization import equivalence_class, irreducible_factorization, normalize
 from .lengthpolys import poly_R_recursive, poly_R_refined
-from .oracle import BudgetError, brute_force_classes, cross_validate
+from .oracle import COUNT_BUDGET, BudgetError, brute_force_classes, cross_validate
 from .seqcache import SequenceCache, default_cache_dir
 
 VARIANTS: dict[str, Callable[[int], list[int]]] = {
@@ -85,6 +85,11 @@ def _emit_json(command: str, parameters: dict, result) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    if args.max_n > COUNT_BUDGET:
+        raise BudgetError(
+            f"--max-n {args.max_n} exceeds the count budget {COUNT_BUDGET}, "
+            "the last n whose values all print"
+        )
     values = _cached_sequence(args.variant, args.max_n, args.cache_dir)
     if args.json:
         _emit_json(

@@ -7,6 +7,7 @@ import pytest
 from ribbon_schur.bfile import format_bfile
 from ribbon_schur.cli import main
 from ribbon_schur.dirichlet import series_R
+from ribbon_schur.oracle import COUNT_BUDGET
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,6 +44,20 @@ class TestCount:
         code, _, err = run(capsys, "count", "--max-n", "0")
         assert code == 2
         assert "positive" in err
+
+    def test_budget_is_last_printable_index(self):
+        # the largest count, 2^(n-1) for `compositions`, has at most the
+        # default 4,300 digits exactly up to the budget
+        assert 2 ** (COUNT_BUDGET - 1) < 10 ** 4300 <= 2 ** COUNT_BUDGET
+
+    @pytest.mark.parametrize("extra", [(), ("--json",), ("--variant", "compositions")])
+    def test_unprintable_bound_is_refused_before_output(self, capsys, extra):
+        max_n = str(COUNT_BUDGET + 1)
+        code, out, err = run(capsys, "count", "--max-n", max_n, "--cache-dir", "", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and max_n in err
 
     def test_json_round_trip(self, capsys):
         code, payload = run_json(capsys, "count", "--max-n", "5")

@@ -1,10 +1,13 @@
 from collections import Counter
+from functools import reduce
+from math import prod
 
 import pytest
 
-from ribbon_schur.compositions import Composition, enumerate_compositions
+from ribbon_schur import oracle
+from ribbon_schur.compositions import Composition, _compose_raw, enumerate_compositions
 from ribbon_schur.dirichlet import series_R
-from ribbon_schur.factorization import count_asymmetric_factors, normalize
+from ribbon_schur.factorization import _factor_parts, count_asymmetric_factors, normalize
 from ribbon_schur.lengthpolys import poly_R_recursive, poly_R_refined
 from ribbon_schur.oracle import (
     BudgetError,
@@ -54,6 +57,27 @@ class TestFingerprint:
         members = [C(1, 2, 1, 3, 2), C(1, 3, 2, 1, 2), C(2, 1, 2, 3, 1), C(2, 3, 1, 2, 1)]
         fingerprints = {h_fingerprint(m) for m in members}
         assert len(fingerprints) == 1
+
+
+class TestRibbonValues:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_value_is_fingerprint_at_the_point(self, n):
+        h = oracle._h_values(n)
+        for parts, value in oracle._ribbon_values(n):
+            terms = h_fingerprint(parts).terms.items()
+            expected = sum(c * prod(h[k] for k in partition) for partition, c in terms)
+            assert value == expected % oracle._MODULUS
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_value_partition_is_fingerprint_partition(self, n):
+        by_value, by_fingerprint = {}, {}
+        for parts, value in oracle._ribbon_values(n):
+            by_value.setdefault(value, set()).add(parts)
+            by_fingerprint.setdefault(h_fingerprint(parts), set()).add(parts)
+        assert sum(map(len, by_value.values())) == 1 << (n - 1)
+        assert set().union(*by_value.values()) == {tuple(a) for a in enumerate_compositions(n)}
+        assert ({frozenset(g) for g in by_value.values()}
+                == {frozenset(g) for g in by_fingerprint.values()})
 
 
 class TestBruteForceClasses:
@@ -127,6 +151,36 @@ class TestCrossValidation:
     def test_budget(self):
         with pytest.raises(BudgetError):
             cross_validate(17)
+
+    def test_unreversed_last_factor_is_caught(self, monkeypatch):
+        def planted(alpha):
+            factors = _factor_parts(alpha)
+            canonical = [min(f, f[::-1]) for f in factors[:-1]] + [factors[-1]]
+            return reduce(_compose_raw, canonical)
+
+        monkeypatch.setattr(oracle, "_normal_form", planted)
+        report = cross_validate(6)
+        assert not report.identical
+        assert "fingerprint-only group: {1,1,1,1,2, 2,1,1,1,1}" in report.mismatches
+        assert report.fingerprint_classes < report.normal_form_classes
+
+    def test_sorted_parts_are_caught(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_normal_form", lambda alpha: tuple(sorted(alpha)))
+        report = cross_validate(6)
+        assert not report.identical
+        assert ("normal form-only group: {1,1,2,2, 1,2,1,2, 1,2,2,1, 2,1,1,2, 2,1,2,1, 2,2,1,1}"
+                in report.mismatches)
+        assert report.fingerprint_classes > report.normal_form_classes
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_collisions_are_never_reported(self, monkeypatch, n):
+        # every h_k = 1 gives every ribbon of length >= 2 the value 0
+        monkeypatch.setattr(oracle, "_h_values", lambda size: [1] * (size + 1))
+        assert len({v for _, v in oracle._ribbon_values(n)}) == min(n, 2)
+        report = cross_validate(n)
+        assert report.identical
+        assert not report.mismatches
+        assert report.fingerprint_classes == series_R(n).integer_coefficients()[n - 1]
 
     @pytest.mark.parametrize("n", range(10, 15))
     def test_matches_formula_counts(self, n):
