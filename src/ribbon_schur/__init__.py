@@ -53,15 +53,11 @@ from .lengthpolys import (
     LengthPoly,
     poly_C,
     poly_Lcross,
-    poly_R1_explicit,
     poly_R1_recursive,
-    poly_R_explicit,
     poly_R_recursive,
     poly_R_refined,
     poly_S,
     refined_specialize,
-    solve_chain_expansion,
-    solve_stretched_family,
 )
 from .oracle import (
     BudgetError,
@@ -110,9 +106,7 @@ __all__ = [
     "parse_composition",
     "poly_C",
     "poly_Lcross",
-    "poly_R1_explicit",
     "poly_R1_recursive",
-    "poly_R_explicit",
     "poly_R_recursive",
     "poly_R_refined",
     "poly_S",
@@ -128,6 +122,4 @@ __all__ = [
     "series_S",
     "series_lexmin",
     "series_zeta",
-    "solve_chain_expansion",
-    "solve_stretched_family",
 ]

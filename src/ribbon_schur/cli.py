@@ -77,6 +77,24 @@ def _cached_sequence(variant: str, bound: int, cache_dir: str | None) -> list[in
     return values
 
 
+def count_cap() -> int:
+    """The last n at which 2^(n-1), the largest count any command prints,
+    fits the process's int-to-str digit limit; never above COUNT_BUDGET."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit > COUNT_BUDGET:
+        return COUNT_BUDGET
+    # 2^(n-1) has at most `limit` digits exactly when 2^(n-1) < 10^limit
+    return min(COUNT_BUDGET, (10**limit).bit_length())
+
+
+def _check_count_cap(what: str, n: int) -> None:
+    cap = count_cap()
+    if n > cap:
+        raise BudgetError(
+            f"{what} {n} exceeds the count budget {cap}, the last n whose values all print"
+        )
+
+
 def _emit_json(command: str, parameters: dict, result) -> None:
     print(json.dumps(
         {"command": command, "parameters": parameters, "result": result},
@@ -85,11 +103,7 @@ def _emit_json(command: str, parameters: dict, result) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    if args.max_n > COUNT_BUDGET:
-        raise BudgetError(
-            f"--max-n {args.max_n} exceeds the count budget {COUNT_BUDGET}, "
-            "the last n whose values all print"
-        )
+    _check_count_cap("--max-n", args.max_n)
     values = _cached_sequence(args.variant, args.max_n, args.cache_dir)
     if args.json:
         _emit_json(
@@ -105,6 +119,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_count_length(args: argparse.Namespace) -> int:
     n = args.n
+    _check_count_cap("n", n)
     if args.refined:
         terms = poly_R_refined(n)
         max_k = max((k for (_, k) in terms), default=0)
@@ -237,6 +252,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 def cmd_oeis_compare(args: argparse.Namespace) -> int:
     bfile = load_bfile(args.bfile)
     bound = args.max_n or bfile.max_index() or 1
+    _check_count_cap("--max-n" if args.max_n else "last b-file index", bound)
     values = _cached_sequence(args.variant, bound, args.cache_dir)
     diff = compare_with_sequence(bfile, values)
     if args.json:

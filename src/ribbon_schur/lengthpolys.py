@@ -1,27 +1,36 @@
 """Length generating polynomials with exact integer coefficients.
 
-For a fixed size n, these polynomials in x count compositions by length.
-The counts of normal forms satisfy two triangular divisor recursions; this
-module implements those plus their closed solutions as signed and unsigned
-sums over strict divisor chains, and the bivariate refinement marking the
-number of asymmetric factors with a second variable z.
+For a fixed size n, these polynomials in x count compositions of n by length;
+the bivariate refinement marks the number of asymmetric factors with z.
 
-The chain solver works with sparse Laurent maps (exponent -> coefficient,
-negative exponents allowed) because the chain factors carry x^-d terms that
-only cancel inside full products.
+Size multiplies under composition and length follows
+ℓ(β ∘ γ) = ℓ(β) + |β|·(ℓ(γ) − 1), so if A_d counts the outer factors of size
+d by length and B_m the inner factors of size m, their products of size n are
+counted by the twisted Dirichlet product
+
+    (A ⊛ B)_n(x) = Σ_{d|n} A_d(x) · x^(−d) · B_{n/d}(x^d).
+
+The shift by x^(−d) is exact: no B_m has a constant term (every composition
+has a part), so B_m(x^d) is divisible by x^d and the product is a polynomial
+of degree at most n.  Every count below is one triangular solve over the
+divisors of n built from these products:
+
+    Lx = C ⊛ R1,   R = S + R ⊛ R1,   R(x, z) = Σ_k z^k · S ⊛ R1^(⊛k).
+
+Each call builds what it needs from scratch; nothing is memoized.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 Laurent = dict[int, int]
+Coeffs = list[int]  # coefficient of x^e at index e, length size + 1
+BivariateTerms = dict[tuple[int, int], int]
 
 
 class InexactDivisionError(ValueError):
-    """A monomial division left a nonzero remainder."""
+    """A polynomial was asked for with a negative power of x."""
 
 
 class LengthPoly:
@@ -38,10 +47,6 @@ class LengthPoly:
     @classmethod
     def zero(cls) -> "LengthPoly":
         return cls(())
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LengthPoly":
-        return cls([0] * exponent + [coefficient])
 
     @classmethod
     def from_sparse(cls, terms: Laurent) -> "LengthPoly":
@@ -102,26 +107,6 @@ class LengthPoly:
                     out[i + j] += ca * cb
         return LengthPoly(out)
 
-    def scale(self, c: int) -> "LengthPoly":
-        return LengthPoly(c * a for a in self.coeffs)
-
-    def stretch(self, d: int) -> "LengthPoly":
-        """Substitute x -> x^d."""
-        if d == 1 or not self.coeffs:
-            return self
-        out = [0] * ((len(self.coeffs) - 1) * d + 1)
-        for e, c in enumerate(self.coeffs):
-            out[e * d] = c
-        return LengthPoly(out)
-
-    def shift_down(self, d: int) -> "LengthPoly":
-        """Exact division by x^d; fails hard on a nonzero remainder."""
-        if any(self.coeffs[:d]):
-            raise InexactDivisionError(
-                f"{self!r} is not divisible by x^{d}"
-            )
-        return LengthPoly(self.coeffs[d:])
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -136,225 +121,140 @@ class LengthPoly:
 
 
 def _divisors(n: int) -> list[int]:
+    if n < 1:
+        raise ValueError("n must be positive")
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
 # --- closed forms ---------------------------------------------------------------
 
+def _binomials(m: int) -> Coeffs:
+    """comb(m, 0), ..., comb(m, m), each from the one before it."""
+    if m < 0:  # called with n - 1 or (n - 1) // 2
+        raise ValueError("n must be positive")
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return row
+
+
+def _c_coeffs(n: int) -> Coeffs:
+    return [0] + _binomials(n - 1)
+
+
+def _s_coeffs(n: int) -> Coeffs:
+    out = [0] * (n + 1)
+    for k, c in enumerate(_binomials((n - 1) // 2)):
+        out[2 * k + 1] = c
+        if n % 2 == 0:
+            out[2 * k + 2] = c
+    return out
+
+
+def _lcross_coeffs(n: int, c: Coeffs, s: Coeffs) -> Coeffs:
+    diff = [a - b for a, b in zip(c, s)]
+    if any(v % 2 for v in diff):
+        raise ArithmeticError(f"C_{n} - S_{n} has an odd coefficient")
+    return [v // 2 for v in diff]
+
+
 def poly_C(n: int) -> LengthPoly:
     """All compositions of n by length: x(1+x)^(n-1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return LengthPoly([0] + [comb(n - 1, k) for k in range(n)])
+    return LengthPoly(_c_coeffs(n))
 
 
 def poly_S(n: int) -> LengthPoly:
     """Symmetric compositions of n by length:
     x(1+x)(1+x^2)^((n-2)/2) for even n, x(1+x^2)^((n-1)/2) for odd n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n % 2:
-        half = LengthPoly([1, 0, 1])  # 1 + x^2
-        acc = LengthPoly([0, 1])
-        for _ in range((n - 1) // 2):
-            acc = acc * half
-        return acc
-    half = LengthPoly([1, 0, 1])
-    acc = LengthPoly([0, 1, 1])  # x(1+x)
-    for _ in range((n - 2) // 2):
-        acc = acc * half
-    return acc
+    return LengthPoly(_s_coeffs(n))
 
 
 def poly_Lcross(n: int) -> LengthPoly:
     """Asymmetric lexicographic minimal compositions of n by length: (C - S)/2."""
-    diff = poly_C(n) - poly_S(n)
-    out = []
-    for c in diff.coeffs:
-        half, rem = divmod(c, 2)
-        if rem:
-            raise ArithmeticError(f"C_{n} - S_{n} has an odd coefficient: {c}")
-        out.append(half)
-    return LengthPoly(out)
+    return LengthPoly(_lcross_coeffs(n, _c_coeffs(n), _s_coeffs(n)))
 
 
-# --- divisor recursions ----------------------------------------------------------
+# --- the twisted product and the divisor solves ------------------------------------
 
-@cache
+def _twist_mul_add(out: Coeffs, a: Coeffs, b: Coeffs, d: int, sign: int) -> None:
+    """Add sign * a(x) * x^-d * b(x^d) to out, in place.
+
+    Relies on b[0] == 0: each nonzero b_j adds a, scaled, at offset d(j - 1),
+    and a zero b_j costs nothing.
+    """
+    width = len(a)
+    for j in range(1, len(b)):
+        if b[j]:
+            c = sign * b[j]
+            lo = d * (j - 1)
+            out[lo:lo + width] = [o + c * x for o, x in zip(out[lo:lo + width], a)]
+
+
+def _star_into(out: Coeffs, a: dict[int, Coeffs], b: dict[int, Coeffs], m: int,
+               sign: int = 1) -> Coeffs:
+    """Add sign * (A ⊛ B)_m to out and return it, over the d | m with A_d in a
+    and B_{m/d} in b."""
+    for d, ad in a.items():
+        q, r = divmod(m, d)
+        if not r and q in b:
+            _twist_mul_add(out, ad, b[q], d, sign)
+    return out
+
+
+def _tables(n: int) -> tuple[list[int], dict[int, Coeffs], dict[int, Coeffs]]:
+    """The divisors of n, and S_m and R1_m for each divisor m.
+
+    R1 solves Lx = C ⊛ R1 term by term: the d = 1 term is R1_m itself
+    (C_1(x)/x = 1), and the d > 1 terms need only R1 at smaller sizes.
+    """
+    divs = _divisors(n)
+    c = {d: _c_coeffs(d) for d in divs}
+    s = {d: _s_coeffs(d) for d in divs}
+    peeled = {d: c[d] for d in divs[1:]}
+    r1: dict[int, Coeffs] = {}
+    for m in divs:
+        r1[m] = _star_into(_lcross_coeffs(m, c[m], s[m]), peeled, r1, m, -1)
+    return divs, s, r1
+
+
 def poly_R1_recursive(n: int) -> LengthPoly:
     """Normal forms of n whose leading factor is asymmetric, rest symmetric.
 
     Solves Lx_n(x) = sum over d|n of C_d(x) x^-d R1_{n/d}(x^d) for R1_n,
     peeled off the d = 1 term (C_1(x)/x = 1).
     """
-    acc = poly_Lcross(n)
-    for d in _divisors(n):
-        if d > 1:
-            term = (poly_C(d) * poly_R1_recursive(n // d).stretch(d)).shift_down(d)
-            acc = acc - term
-    return acc
+    return LengthPoly(_tables(n)[2][n])
 
 
-@cache
 def poly_R_recursive(n: int) -> LengthPoly:
     """Normal forms of n by length:
     R_n(x) = S_n(x) + sum over proper d|n of R_d(x) x^-d R1_{n/d}(x^d)."""
-    acc = poly_S(n)
-    for d in _divisors(n):
-        if d < n:
-            term = (poly_R_recursive(d) * poly_R1_recursive(n // d).stretch(d)).shift_down(d)
-            acc = acc + term
-    return acc
-
-
-# --- divisor-chain solver ---------------------------------------------------------
-
-def _laurent_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _laurent_add_into(acc: Laurent, term: Laurent, sign: int) -> None:
-    for e, c in term.items():
-        v = acc.get(e, 0) + sign * c
-        if v:
-            acc[e] = v
-        elif e in acc:
-            del acc[e]
-
-
-def _laurent_stretch(a: Laurent, d: int) -> Laurent:
-    if d == 1:
-        return dict(a)
-    return {e * d: c for e, c in a.items()}
-
-
-def solve_stretched_family(
-    a: Callable[[int], Laurent], b: Callable[[int], Laurent], n: int
-) -> Laurent:
-    """The C_n with A_n(x) = sum over d|n of B_d(x) C_{n/d}(x^d), given B_1 = 1.
-
-    Evaluates the signed sum over strict divisor chains 1 = d_0 | d_1 | ... |
-    d_k | n: each chain contributes (-1)^k A_{n/d_k}(x^{d_k}) times the
-    product of B_{d_{i+1}/d_i}(x^{d_i}).
-    """
-    if b(1) != {0: 1}:
-        raise ValueError("the solver requires B_1(x) = 1")
-    total: Laurent = {}
-
-    def walk(d: int, k: int, prod: Laurent) -> None:
-        _laurent_add_into(total, _laurent_mul(prod, _laurent_stretch(a(n // d), d)), -1 if k & 1 else 1)
-        for nxt in _divisors(n):
-            if nxt > d and nxt % d == 0:
-                walk(nxt, k + 1, _laurent_mul(prod, _laurent_stretch(b(nxt // d), d)))
-
-    walk(1, 0, {0: 1})
-    return total
-
-
-def solve_chain_expansion(
-    b: Callable[[int], Laurent], c: Callable[[int], Laurent], n: int
-) -> Laurent:
-    """The A_n with A_n(x) = B_n(x) + sum over proper d|n of A_d(x) C_{n/d}(x^d).
-
-    Evaluates the unsigned sum over strict divisor chains d_1 | ... | d_{k+1}
-    = n: each chain contributes B_{d_1}(x) times the product of
-    C_{d_{i+1}/d_i}(x^{d_i}).
-    """
-    total: Laurent = {}
-
-    def walk(d: int, prod: Laurent) -> None:
-        if d == n:
-            _laurent_add_into(total, prod, 1)
-            return
-        for nxt in _divisors(n):
-            if nxt > d and nxt % d == 0:
-                walk(nxt, _laurent_mul(prod, _laurent_stretch(c(nxt // d), d)))
-
-    for d1 in _divisors(n):
-        walk(d1, b(d1))
-    return total
-
-
-def _lcross_family(m: int) -> Laurent:
-    return poly_Lcross(m).sparse()
-
-
-def _c_over_xd_family(m: int) -> Laurent:
-    # C_m(x) / x^m as a Laurent map
-    return {e - m: c for e, c in poly_C(m).sparse().items()}
-
-
-@cache
-def poly_R1_explicit(n: int) -> LengthPoly:
-    """Chain-formula evaluation of R1_n; agrees with the recursion."""
-    return LengthPoly.from_sparse(solve_stretched_family(_lcross_family, _c_over_xd_family, n))
-
-
-def _s_family(m: int) -> Laurent:
-    return poly_S(m).sparse()
-
-
-def _r1_over_x_family(m: int) -> Laurent:
-    return {e - 1: c for e, c in poly_R1_explicit(m).sparse().items()}
-
-
-@cache
-def poly_R_explicit(n: int) -> LengthPoly:
-    """Chain-formula evaluation of R_n; agrees with the recursion."""
-    return LengthPoly.from_sparse(solve_chain_expansion(_s_family, _r1_over_x_family, n))
-
-
-# --- bivariate refinement ----------------------------------------------------------
-
-BivariateTerms = dict[tuple[int, int], int]
-
-
-@cache
-def _refined_terms(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    # R_n(x, z) = S_n(x) + z * sum over proper d|n of R_d(x, z) x^-d R1_{n/d}(x^d)
-    acc: BivariateTerms = {(e, 0): c for e, c in poly_S(n).sparse().items()}
-    for d in _divisors(n):
-        if d == n:
-            continue
-        inner = poly_R1_recursive(n // d).stretch(d).sparse()
-        for (m, k), cr in _refined_terms(d):
-            for e, ci in inner.items():
-                xexp = m + e - d
-                if xexp < 0:
-                    raise InexactDivisionError("refined recursion lost a power of x")
-                key = (xexp, k + 1)
-                v = acc.get(key, 0) + cr * ci
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
-    return tuple(sorted(acc.items()))
+    divs, s, r1 = _tables(n)
+    r: dict[int, Coeffs] = {}
+    for m in divs:  # r holds R at the proper divisors of m so far
+        r[m] = _star_into(s[m], r, r1, m)
+    return LengthPoly(r[n])
 
 
 def poly_R_refined(n: int) -> BivariateTerms:
     """Normal forms of n by length and number of asymmetric factors.
 
-    Returns a sparse map (length exponent, asymmetric-factor count) -> count.
+    The coefficient of z^k is (S ⊛ R1^(⊛k))_n.  Returns a sparse map
+    (length exponent, asymmetric-factor count) -> count.
     """
-    return dict(_refined_terms(n))
+    divs, row, r1 = _tables(n)
+    terms: BivariateTerms = {}
+    k = 0
+    while any(any(p) for p in row.values()):
+        terms.update(((e, k), c) for e, c in enumerate(row[n]) if c)
+        row = {m: _star_into([0] * (m + 1), row, r1, m) for m in divs}
+        k += 1
+    return dict(sorted(terms.items()))
 
 
 def refined_specialize(terms: BivariateTerms, z: int) -> LengthPoly:
     """Substitute an integer for z, leaving a polynomial in x."""
     out: Laurent = {}
     for (m, k), c in terms.items():
-        v = out.get(m, 0) + c * z**k
-        if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
+        out[m] = out.get(m, 0) + c * z**k
     return LengthPoly.from_sparse(out)

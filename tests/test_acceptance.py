@@ -12,6 +12,7 @@ import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from helpers import poly_R_explicit
 from ribbon_schur.cli import main
 from ribbon_schur.compositions import compose, enumerate_compositions
 from ribbon_schur.dirichlet import (
@@ -30,7 +31,7 @@ from ribbon_schur.factorization import (
     is_irreducible,
     normalize,
 )
-from ribbon_schur.lengthpolys import poly_R_explicit, poly_R_recursive
+from ribbon_schur.lengthpolys import poly_R_recursive
 from ribbon_schur.oracle import (
     brute_force_classes,
     brute_force_length_histogram,

@@ -1,15 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from ribbon_schur.bfile import format_bfile
-from ribbon_schur.cli import main
+from ribbon_schur.cli import count_cap, main
 from ribbon_schur.dirichlet import series_R
 from ribbon_schur.oracle import COUNT_BUDGET
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -59,6 +63,29 @@ class TestCount:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and max_n in err
 
+    def test_cap_follows_the_digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        try:
+            for limit, cap in [(0, COUNT_BUDGET), (640, 2127), (4300, COUNT_BUDGET),
+                               (10**6, COUNT_BUDGET)]:
+                sys.set_int_max_str_digits(limit)
+                assert count_cap() == cap, limit
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_lowered_digit_limit_is_refused_before_output(self):
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ribbon_schur.cli", "count", "--max-n", "2200",
+             "--variant", "compositions", "--cache-dir", ""],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: ") and "2127" in proc.stderr
+
     def test_json_round_trip(self, capsys):
         code, payload = run_json(capsys, "count", "--max-n", "5")
         assert code == 0
@@ -97,6 +124,14 @@ class TestCountLength:
         rows = payload["result"]["coefficients_by_asymmetric_factors"]
         assert rows["0"] == [0, 1, 1, 1, 1]
         assert rows["1"] == [0, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("extra", [(), ("--json",), ("--refined",)])
+    def test_unprintable_size_is_refused_before_output(self, capsys, extra):
+        code, out, err = run(capsys, "count-length", "20011", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "20011" in err
 
 
 class TestCompositionCommands:
@@ -258,6 +293,17 @@ class TestOeisCompare:
         code, _, err = run(capsys, "oeis-compare", str(path))
         assert code == 2
         assert "line 3" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--json",), ("--max-n", "14286")])
+    def test_unprintable_bound_is_refused_before_output(self, capsys, tmp_path, extra):
+        path = tmp_path / "long.txt"
+        path.write_text("1 1\n14300 1\n")
+        code, out, err = run(capsys, "oeis-compare", str(path), "--variant", "compositions",
+                             "--cache-dir", "", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "budget" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "oeis-compare", str(tmp_path / "nope.txt"))

@@ -1,8 +1,26 @@
+import os
 import random
+import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
+from helpers import (
+    dense_C,
+    dense_Lcross,
+    dense_R,
+    dense_R1,
+    dense_refined_terms,
+    dense_S,
+    poly_R1_explicit,
+    poly_R_explicit,
+    shift_down,
+    solve_chain_expansion,
+    solve_stretched_family,
+    stretch,
+)
+from ribbon_schur import cli
 from ribbon_schur.compositions import enumerate_compositions
 from ribbon_schur.dirichlet import series_R
 from ribbon_schur.lengthpolys import (
@@ -10,15 +28,11 @@ from ribbon_schur.lengthpolys import (
     LengthPoly,
     poly_C,
     poly_Lcross,
-    poly_R1_explicit,
     poly_R1_recursive,
-    poly_R_explicit,
     poly_R_recursive,
     poly_R_refined,
     poly_S,
     refined_specialize,
-    solve_chain_expansion,
-    solve_stretched_family,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -46,12 +60,12 @@ class TestLengthPoly:
         assert (p * q).coeffs == (0, 1, 3, 2)
 
     def test_stretch(self):
-        assert LengthPoly([0, 1, 2]).stretch(3).coeffs == (0, 0, 0, 1, 0, 0, 2)
+        assert stretch((0, 1, 2), 3) == (0, 0, 0, 1, 0, 0, 2)
 
     def test_shift_down_is_exact_or_fails(self):
-        assert LengthPoly([0, 0, 3, 1]).shift_down(2).coeffs == (3, 1)
+        assert shift_down((0, 0, 3, 1), 2) == (3, 1)
         with pytest.raises(InexactDivisionError):
-            LengthPoly([0, 1, 3]).shift_down(2)
+            shift_down((0, 1, 3), 2)
 
     def test_evaluation(self):
         p = LengthPoly([1, 0, 2])
@@ -112,6 +126,42 @@ class TestRecursions:
         counts = series_R(33).integer_coefficients()
         for n in range(1, 34):
             assert poly_R_recursive(n)(1) == counts[n - 1]
+
+    def test_no_memo_outlives_a_call(self):
+        with open(os.devnull, "w") as sink:
+            with redirect_stdout(sink):  # first call pays for lazy imports
+                cli.main(["count-length", "4", "--refined"])
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                with redirect_stdout(sink):
+                    assert cli.main(["count-length", "720"]) == 0
+                    assert cli.main(["count-length", "720", "--refined"]) == 0
+                grown = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+        assert grown < 2**20
+
+
+class TestAgainstDenseRecursion:
+    """The divisor solves agree with the dense recursions in tests/helpers.py."""
+
+    SIZES = [*range(1, 121), 180, 240, 360]
+
+    def test_closed_forms(self):
+        for n in range(1, 121):
+            assert poly_C(n).coeffs == dense_C(n), n
+            assert poly_S(n).coeffs == dense_S(n), n
+            assert poly_Lcross(n).coeffs == dense_Lcross(n), n
+
+    def test_r1_and_r(self):
+        for n in self.SIZES:
+            assert poly_R1_recursive(n).coeffs == dense_R1(n), n
+            assert poly_R_recursive(n).coeffs == dense_R(n), n
+
+    def test_refined_terms_and_their_order(self):
+        for n in [*range(1, 121), 360]:
+            assert list(poly_R_refined(n).items()) == list(dense_refined_terms(n)), n
 
 
 class TestExplicitChainFormulas:
