@@ -73,6 +73,13 @@ class Composition(tuple):
         return format_composition(self)
 
 
+def _trusted_composition(parts: Iterable[int]) -> Composition:
+    """A `Composition` of parts already known to be positive ints, such as
+    the parts of another composition; skips the per-part check of
+    ``Composition(parts)``."""
+    return tuple.__new__(Composition, parts)
+
+
 # --- monoid operations -------------------------------------------------------
 
 def concatenate(alpha: Composition, beta: Composition) -> Composition:
@@ -137,12 +144,18 @@ def lex_min_form(alpha: Composition) -> Composition:
 
 # --- enumeration -------------------------------------------------------------
 
+# cut-mask bits decoded once into the low-half table of `composition_parts_in_range`
+_LOW_BITS = 10
+
+
 def composition_parts_from_mask(n: int, mask: int) -> Parts:
     """Parts of the composition of ``n`` encoded by a cut-point bitmask.
 
     Bit ``i`` of ``mask`` (least significant bit is ``i = 0``) set means that
     a new part starts after position ``i + 1``.  Mask 0 is ``(n)`` and mask
-    ``2**(n-1) - 1`` is the all-ones composition.
+    ``2**(n-1) - 1`` is the all-ones composition.  This step-by-step decode
+    builds the tables of `composition_parts_in_range`, which enumerates in
+    bulk.
     """
     parts: list[int] = []
     prev = 0
@@ -154,12 +167,43 @@ def composition_parts_from_mask(n: int, mask: int) -> Parts:
     return tuple(parts)
 
 
+def composition_parts_in_range(n: int, lo: int, hi: int) -> Iterator[Parts]:
+    """Parts of the compositions of ``n`` with cut masks in ``[lo, hi)``, in
+    ascending mask order; ``composition_parts_from_mask(n, m)`` for each m.
+
+    The low ``_LOW_BITS`` bits of a mask give the parts of the first
+    ``_LOW_BITS + 1`` positions, read from a table of at most 2^_LOW_BITS
+    entries.  The next bit is the seam: set, the high bits' parts follow the
+    low parts; clear, the first high part is added to the last low part, so
+    the tables for clear seams are keyed by that first high part.  Each
+    composition then costs one tuple concatenation.
+    """
+    k = _LOW_BITS
+    if n - 1 <= k:
+        yield from map(composition_parts_from_mask, [n] * (hi - lo), range(lo, hi))
+        return
+    block = 1 << k
+    low = [composition_parts_from_mask(k + 1, m) for m in range(block)]
+    merged: dict[int, list[Parts]] = {}
+    for high in range(lo >> k, -(-hi >> k)):
+        start = max(lo - (high << k), 0)
+        stop = min(hi - (high << k), block)
+        rest = composition_parts_from_mask(n - k - 1, high >> 1)
+        if high & 1:
+            table, tail = low, rest
+        else:
+            first, tail = rest[0], rest[1:]
+            table = merged.get(first)
+            if table is None:
+                table = merged[first] = [p[:-1] + (p[-1] + first,) for p in low]
+        yield from map(tuple.__add__, table[start:stop], [tail] * (stop - start))
+
+
 def enumerate_compositions(n: int) -> Iterator[Composition]:
     """All ``2**(n-1)`` compositions of ``n``, in ascending cut-mask order."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    for mask in range(1 << (n - 1)):
-        yield Composition(composition_parts_from_mask(n, mask))
+    yield from map(_trusted_composition, composition_parts_in_range(n, 0, 1 << (n - 1)))
 
 
 # --- text format ---------------------------------------------------------------

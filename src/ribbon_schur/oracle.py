@@ -6,6 +6,19 @@ Two oracles that share no code with the formula paths:
   their normal form, and
 * a semantic check of that partition against the ribbons themselves.
 
+The exhaustive sweep takes the compositions from
+`compositions.composition_parts_in_range`: a table of the compositions given
+by the low 10 bits of the cut mask is decoded once, and each composition is
+then one tuple concatenation of a table entry with the parts of the high
+bits (the two touching parts added when the cut between the halves is
+clear).  Each normal form is counted under its parts as a bytes object.
+Every part is at most n, so for n <= 255 each part is one byte, and bytes
+compare like the tuples they encode (element by element, a prefix first),
+so sorting the keys gives the composition order; the keys also hash once
+and pickle cheaply on their way back from the worker processes.  Sizes
+above 255 are refused with `BudgetError` before any work; no such sweep
+(2^254 compositions or more) could finish anyway.
+
 The semantic check evaluates every ribbon at one fixed random point.  A
 ribbon is the alternating sum over the coarsenings of its composition of
 products of complete homogeneous functions h_k (the expansion of its skew
@@ -32,13 +45,15 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .compositions import Composition, Parts, composition_parts_from_mask
+from .compositions import Composition, Parts, _trusted_composition, composition_parts_in_range
 from .factorization import _normal_form
 from .lengthpolys import LengthPoly
 
 DEFAULT_CLASS_BUDGET = 20
 DEFAULT_HISTOGRAM_BUDGET = 18
 DEFAULT_SEMANTIC_BUDGET = 16
+# the exhaustive oracle keys each normal form by its parts as bytes
+MAX_EXHAUSTIVE_N = 255
 # the last n at which 2^(n-1), the largest count of any variant, has at most
 # 4,300 digits, the default limit of Python's int-to-str conversion
 COUNT_BUDGET = 14_285
@@ -153,13 +168,19 @@ def _ribbon_values(n: int) -> Iterator[tuple[Parts, int]]:
 
 def _normal_form_chunk(args: tuple[int, int, int]) -> Counter:
     n, lo, hi = args
-    counts: Counter = Counter()
-    for mask in range(lo, hi):
-        counts[_normal_form(composition_parts_from_mask(n, mask))] += 1
-    return counts
+    return Counter(map(bytes, map(_normal_form, composition_parts_in_range(n, lo, hi))))
 
 
-def _class_counter(n: int, jobs: int | None) -> Counter:
+def _class_counter(n: int, budget: int, jobs: int | None) -> Counter:
+    """Class sizes of size n keyed by the normal form's parts as bytes."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > budget:
+        raise BudgetError(f"n = {n} exceeds the exhaustive budget {budget}")
+    if n > MAX_EXHAUSTIVE_N:
+        raise BudgetError(
+            f"n = {n} exceeds {MAX_EXHAUSTIVE_N}, the largest size whose parts fit in a byte"
+        )
     total = 1 << (n - 1)
     if not jobs or jobs <= 1 or total < (1 << 14):
         return _normal_form_chunk((n, 0, total))
@@ -180,25 +201,15 @@ def brute_force_classes(
     Partitions the full set of 2^(n-1) compositions by their normal form;
     the class sizes therefore sum to 2^(n-1).  Sorted by normal form.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > budget:
-        raise BudgetError(f"n = {n} exceeds the exhaustive budget {budget}")
-    counts = _class_counter(n, jobs)
-    return [(Composition(p), c) for p, c in sorted(counts.items())]
+    counts = _class_counter(n, budget, jobs)
+    return [(_trusted_composition(key), counts[key]) for key in sorted(counts)]
 
 
 def brute_force_length_histogram(
     n: int, budget: int = DEFAULT_HISTOGRAM_BUDGET, jobs: int | None = None
 ) -> LengthPoly:
     """Classes of size n counted by the length of their normal form."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > budget:
-        raise BudgetError(f"n = {n} exceeds the exhaustive budget {budget}")
-    by_length: Counter = Counter()
-    for p, _ in brute_force_classes(n, budget=budget, jobs=jobs):
-        by_length[len(p)] += 1
+    by_length = Counter(map(len, _class_counter(n, budget, jobs)))
     coeffs = [0] * (n + 1)
     for length, count in by_length.items():
         coeffs[length] = count

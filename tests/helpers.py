@@ -9,11 +9,14 @@ as sums over divisor chains.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import product
 from math import comb
 from typing import Callable
 
+from ribbon_schur.compositions import Composition
+from ribbon_schur.factorization import _normal_form
 from ribbon_schur.lengthpolys import (
     InexactDivisionError,
     LengthPoly,
@@ -52,6 +55,20 @@ def compositions_of(n: int) -> list[Parts]:
         for rest in compositions_of(n - first):
             out.append((first,) + rest)
     return out
+
+
+def parts_by_mask_decode(n: int, mask: int) -> Parts:
+    """The composition of n whose cut after position i + 1 is bit i of mask."""
+    cuts = [i + 1 for i in range(n - 1) if mask >> i & 1]
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
+def classes_by_mask_decode(n: int) -> list[tuple[Composition, int]]:
+    """`brute_force_classes(n)` computed one composition at a time: decode
+    each cut mask, count normal forms in a Counter, sort its items and
+    wrap each key as a checked Composition."""
+    counts = Counter(_normal_form(parts_by_mask_decode(n, m)) for m in range(1 << (n - 1)))
+    return [(Composition(p), c) for p, c in sorted(counts.items())]
 
 
 def compositions_up_to(n: int) -> list[Parts]:

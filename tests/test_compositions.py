@@ -1,13 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ribbon_schur import compositions
 from ribbon_schur.compositions import (
     MAX_PART_DIGITS,
     Composition,
     CompositionParseError,
     compare_lex,
     compose,
+    composition_parts_from_mask,
+    composition_parts_in_range,
     concatenate,
     enumerate_compositions,
     format_composition,
@@ -181,6 +186,49 @@ class TestEnumeration:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             list(enumerate_compositions(0))
+
+
+def decoded(n, lo, hi):
+    return [composition_parts_from_mask(n, m) for m in range(lo, hi)]
+
+
+def seeded_ranges(n, count=25):
+    # boundaries anywhere, mostly not on the low table's blocks
+    rng = random.Random(n)
+    total = 1 << (n - 1)
+    for _ in range(count):
+        lo, hi = sorted(rng.randrange(total + 1) for _ in range(2))
+        yield lo, hi
+    yield 0, 0
+    yield total - 1, total
+
+
+class TestPartsInRange:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_full_range_is_the_mask_decode(self, n):
+        total = 1 << (n - 1)
+        assert list(composition_parts_in_range(n, 0, total)) == decoded(n, 0, total)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_unaligned_ranges(self, n):
+        for lo, hi in seeded_ranges(n):
+            assert list(composition_parts_in_range(n, lo, hi)) == decoded(n, lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("low_bits", [1, 2, 3])
+    def test_small_tables(self, monkeypatch, low_bits):
+        # with a narrow low half every n past low_bits + 1 goes through the seam
+        monkeypatch.setattr(compositions, "_LOW_BITS", low_bits)
+        for n in range(1, 13):
+            total = 1 << (n - 1)
+            assert list(composition_parts_in_range(n, 0, total)) == decoded(n, 0, total), n
+            for lo, hi in seeded_ranges(n, count=5):
+                assert list(composition_parts_in_range(n, lo, hi)) == decoded(n, lo, hi)
+
+    def test_ranges_partition_the_enumeration(self):
+        n, total = 16, 1 << 15
+        cuts = [0, 1, 1023, 1024, 1025, 5000, 10922, 21845, 32767, total]
+        pieces = [list(composition_parts_in_range(n, a, b)) for a, b in zip(cuts, cuts[1:])]
+        assert sum(pieces, []) == [tuple(c) for c in enumerate_compositions(n)]
 
 
 class TestTextFormat:

@@ -17,6 +17,8 @@ from ribbon_schur.oracle import (
     h_fingerprint,
 )
 
+from helpers import classes_by_mask_decode
+
 
 def C(*parts):
     return Composition(parts)
@@ -112,6 +114,27 @@ class TestBruteForceClasses:
 
     def test_parallel_matches_sequential(self):
         assert brute_force_classes(15, jobs=2) == brute_force_classes(15)
+
+    def test_unaligned_work_items_match_sequential(self):
+        # 2^14 masks in 24 items: the item boundaries miss the low table's blocks
+        assert brute_force_classes(15, jobs=3) == brute_force_classes(15)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_mask_decode(self, n, jobs):
+        classes = brute_force_classes(n, jobs=jobs)
+        assert classes == classes_by_mask_decode(n)
+        assert all(type(rho) is Composition for rho, _ in classes)
+
+    def test_sizes_past_one_byte_are_refused_at_once(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(oracle, "composition_parts_in_range", no_sweep)
+        with pytest.raises(BudgetError, match="255"):
+            brute_force_classes(256, budget=300)
+        with pytest.raises(BudgetError, match="255"):
+            brute_force_length_histogram(256, budget=300)
 
 
 class TestLengthHistogram:
