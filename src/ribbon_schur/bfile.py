@@ -8,7 +8,8 @@ comments and blank lines are ignored.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+
+from .records import Record
 
 
 class BFileFormatError(ValueError):
@@ -19,12 +20,14 @@ class BFileFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass
-class BFile:
+class BFile(Record):
     """Parsed b-file: ordered (index, value) pairs plus a source label."""
 
-    entries: list[tuple[int, int]]
-    source: str = ""
+    __slots__ = ("entries", "source")
+
+    def __init__(self, entries: list[tuple[int, int]], source: str = ""):
+        self.entries = entries
+        self.source = source
 
     def values_by_index(self) -> dict[int, int]:
         return dict(self.entries)
@@ -63,12 +66,15 @@ def format_bfile(entries: list[tuple[int, int]]) -> str:
     return "".join(f"{n} {value}\n" for n, value in entries)
 
 
-@dataclass
-class BFileDiff:
+class BFileDiff(Record):
     """Indices where the file disagrees with the computed sequence."""
 
-    differences: list[tuple[int, int, int]] = field(default_factory=list)
-    compared: int = 0
+    __slots__ = ("differences", "compared")
+
+    def __init__(self, differences: list[tuple[int, int, int]] | None = None,
+                 compared: int = 0):
+        self.differences = [] if differences is None else differences
+        self.compared = compared
 
     @property
     def clean(self) -> bool:

@@ -11,39 +11,40 @@ With --json every command prints a single object
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Callable
+from collections.abc import Callable
 
-from .bfile import BFileFormatError, compare_with_sequence, load_bfile
 from .compositions import (
     Composition,
     CompositionParseError,
     format_composition,
     parse_composition,
 )
-from .dirichlet import (
-    series_C,
-    series_P,
-    series_Pcross,
-    series_Pstar,
-    series_R,
-    series_S,
-    series_lexmin,
-)
-from .factorization import equivalence_class, irreducible_factorization, normalize
-from .lengthpolys import poly_R_recursive, poly_R_refined
-from .oracle import COUNT_BUDGET, BudgetError, brute_force_classes, cross_validate
+from .limits import COUNT_BUDGET, DEFAULT_SEMANTIC_BUDGET, BudgetError
 from .seqcache import SequenceCache, default_cache_dir
 
+# Each command imports the modules it runs (json included) when it runs, so
+# that a process loads only those: `equiv` never loads the counting or oracle
+# layers, and `--help` none of them.
+
+
+def _coefficients(series: str) -> Callable[[int], list[int]]:
+    def values(bound: int) -> list[int]:
+        from . import dirichlet
+
+        return getattr(dirichlet, series)(bound).integer_coefficients()
+
+    return values
+
+
 VARIANTS: dict[str, Callable[[int], list[int]]] = {
-    "all": lambda bound: series_R(bound).integer_coefficients(),
-    "irreducible": lambda bound: series_P(bound).integer_coefficients(),
-    "symmetric-irreducible": lambda bound: series_Pstar(bound).integer_coefficients(),
-    "asymmetric-irreducible": lambda bound: series_Pcross(bound).integer_coefficients(),
-    "lexmin": lambda bound: series_lexmin(bound).integer_coefficients(),
-    "compositions": lambda bound: series_C(bound).integer_coefficients(),
-    "symmetric": lambda bound: series_S(bound).integer_coefficients(),
+    "all": _coefficients("series_R"),
+    "irreducible": _coefficients("series_P"),
+    "symmetric-irreducible": _coefficients("series_Pstar"),
+    "asymmetric-irreducible": _coefficients("series_Pcross"),
+    "lexmin": _coefficients("series_lexmin"),
+    "compositions": _coefficients("series_C"),
+    "symmetric": _coefficients("series_S"),
 }
 
 
@@ -96,6 +97,8 @@ def _check_count_cap(what: str, n: int) -> None:
 
 
 def _emit_json(command: str, parameters: dict, result) -> None:
+    import json
+
     print(json.dumps(
         {"command": command, "parameters": parameters, "result": result},
         sort_keys=True,
@@ -118,6 +121,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_count_length(args: argparse.Namespace) -> int:
+    import json
+
+    from .lengthpolys import poly_R_recursive, poly_R_refined
+
     n = args.n
     _check_count_cap("n", n)
     if args.refined:
@@ -154,6 +161,8 @@ def cmd_count_length(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
+    from .factorization import irreducible_factorization
+
     factors = irreducible_factorization(args.composition).factors
     if args.json:
         _emit_json(
@@ -167,6 +176,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    from .factorization import normalize
+
     normal = normalize(args.composition)
     if args.json:
         _emit_json(
@@ -180,6 +191,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
+    from .factorization import normalize
+
     a, b = normalize(args.alpha), normalize(args.beta)
     same = a == b
     if args.json:
@@ -200,6 +213,8 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_class(args: argparse.Namespace) -> int:
+    from .factorization import equivalence_class
+
     members = sorted(equivalence_class(args.composition))
     if args.json:
         _emit_json(
@@ -214,6 +229,9 @@ def cmd_class(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    from .dirichlet import series_lexmin, series_R
+    from .oracle import brute_force_classes, cross_validate
+
     n = args.n
     report = cross_validate(n, budget=args.budget)
     classes = brute_force_classes(n, budget=args.budget, jobs=args.jobs)
@@ -250,7 +268,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis_compare(args: argparse.Namespace) -> int:
-    bfile = load_bfile(args.bfile)
+    from .bfile import BFileFormatError, compare_with_sequence, load_bfile
+
+    try:
+        bfile = load_bfile(args.bfile)
+    except BFileFormatError as exc:
+        print(f"error: {args.bfile}: {exc}", file=sys.stderr)
+        return 2
     bound = args.max_n or bfile.max_index() or 1
     _check_count_cap("--max-n" if args.max_n else "last b-file index", bound)
     values = _cached_sequence(args.variant, bound, args.cache_dir)
@@ -324,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="exhaustive and semantic consistency check")
     p.add_argument("n", type=_positive_int)
     p.add_argument("--jobs", type=_positive_int, default=None)
-    p.add_argument("--budget", type=_positive_int, default=16)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEMANTIC_BUDGET)
     add_common(p)
     p.set_defaults(func=cmd_oracle_check)
 
@@ -349,9 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CompositionParseError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BFileFormatError as exc:
-        print(f"error: {args.bfile}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,15 +9,11 @@ composition (1) is neutral.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+
+from .limits import MAX_PART_DIGITS
 
 Parts = tuple[int, ...]
-
-# Longest accepted component, in decimal digits.  Python refuses to convert
-# ints of more than 4,300 digits to or from text; no component that factor,
-# normalize or class print exceeds the largest input component, so under
-# this cap every output prints too.
-MAX_PART_DIGITS = 1000
 
 
 class CompositionParseError(ValueError):

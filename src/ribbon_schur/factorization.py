@@ -24,19 +24,35 @@ composition of length l and size n, independent of the size of the parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, product
 from math import gcd
 
 from .compositions import Composition, Parts, _compose_raw
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """An ordered list of atoms whose monoid product is the original composition."""
+class Factorization(Record):
+    """An ordered list of atoms whose monoid product is the original composition.
 
-    factors: tuple[Composition, ...]
+    Immutable, and hashable by its factors."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Composition, ...]):
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __reduce__(self):
+        return Factorization, (self.factors,)
 
     def product(self) -> Composition:
         return Composition(reduce(_compose_raw, self.factors))

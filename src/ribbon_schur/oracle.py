@@ -39,33 +39,26 @@ equality theorem with different strength:
 
 from __future__ import annotations
 
-import multiprocessing
-import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .compositions import Composition, Parts, _trusted_composition, composition_parts_in_range
 from .factorization import _normal_form
+from .limits import (  # noqa: F401  (COUNT_BUDGET is re-exported)
+    COUNT_BUDGET,
+    DEFAULT_CLASS_BUDGET,
+    DEFAULT_HISTOGRAM_BUDGET,
+    DEFAULT_SEMANTIC_BUDGET,
+    MAX_EXHAUSTIVE_N,
+    BudgetError,
+)
 from .lengthpolys import LengthPoly
-
-DEFAULT_CLASS_BUDGET = 20
-DEFAULT_HISTOGRAM_BUDGET = 18
-DEFAULT_SEMANTIC_BUDGET = 16
-# the exhaustive oracle keys each normal form by its parts as bytes
-MAX_EXHAUSTIVE_N = 255
-# the last n at which 2^(n-1), the largest count of any variant, has at most
-# 4,300 digits, the default limit of Python's int-to-str conversion
-COUNT_BUDGET = 14_285
+from .records import Record
 
 _MODULUS = (1 << 61) - 1  # a Mersenne prime
 _SEED = 2006
 
 Partition = tuple[int, ...]
-
-
-class BudgetError(ValueError):
-    """An exhaustive run was requested beyond its configured budget."""
 
 
 class HFingerprint:
@@ -129,6 +122,8 @@ def h_fingerprint(alpha: Composition) -> HFingerprint:
 
 def _h_values(n: int) -> list[int]:
     """The evaluation point: h_0 = 1 and h_1..h_n as seeded residues mod p."""
+    import random
+
     rng = random.Random(_SEED)
     return [1] + [rng.randrange(_MODULUS) for _ in range(n)]
 
@@ -186,6 +181,8 @@ def _class_counter(n: int, budget: int, jobs: int | None) -> Counter:
         return _normal_form_chunk((n, 0, total))
     chunk = -(-total // (jobs * 8))
     ranges = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    import multiprocessing
+
     counts: Counter = Counter()
     with multiprocessing.Pool(jobs) as pool:
         for part in pool.imap_unordered(_normal_form_chunk, ranges):
@@ -218,15 +215,18 @@ def brute_force_length_histogram(
 
 # --- the two-sided comparison -----------------------------------------------------
 
-@dataclass
-class CrossValidationReport:
+class CrossValidationReport(Record):
     """Outcome of comparing the semantic and the normal-form partitions."""
 
-    n: int
-    fingerprint_classes: int
-    normal_form_classes: int
-    identical: bool
-    mismatches: list[str] = field(default_factory=list)
+    __slots__ = ("n", "fingerprint_classes", "normal_form_classes", "identical", "mismatches")
+
+    def __init__(self, n: int, fingerprint_classes: int, normal_form_classes: int,
+                 identical: bool, mismatches: list[str] | None = None):
+        self.n = n
+        self.fingerprint_classes = fingerprint_classes
+        self.normal_form_classes = normal_form_classes
+        self.identical = identical
+        self.mismatches = [] if mismatches is None else mismatches
 
     def summary(self) -> str:
         verdict = "identical" if self.identical else "DIFFERENT"

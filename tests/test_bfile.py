@@ -1,6 +1,8 @@
 import pytest
 
 from ribbon_schur.bfile import (
+    BFile,
+    BFileDiff,
     BFileFormatError,
     compare_with_sequence,
     format_bfile,
@@ -63,6 +65,19 @@ class TestComparison:
         bf = parse_bfile("1 1\n2 9\n3 4\n")
         diff = compare_with_sequence(bf, [1, 2, 4])
         assert diff.differences == [(2, 9, 2)]
+
+    def test_records(self):
+        bf = parse_bfile("1 1\n2 9\n", source="f.txt")
+        assert (bf.entries, bf.source, bf.max_index()) == ([(1, 1), (2, 9)], "f.txt", 2)
+        assert bf == BFile([(1, 1), (2, 9)], source="f.txt")
+        assert repr(bf) == "BFile(entries=[(1, 1), (2, 9)], source='f.txt')"
+        assert BFile([]).max_index() == 0
+        diff = compare_with_sequence(bf, [1, 2])
+        assert diff == BFileDiff(differences=[(2, 9, 2)], compared=2)
+        assert repr(diff) == "BFileDiff(differences=[(2, 9, 2)], compared=2)"
+        assert (diff.compared, diff.differences, diff.clean) == (2, [(2, 9, 2)], False)
+        fresh = BFileDiff()
+        assert fresh.differences == [] and fresh.differences is not BFileDiff().differences
 
     def test_overlap_only(self):
         bf = parse_bfile("1 1\n2 2\n10 99\n")

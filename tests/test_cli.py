@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbon_schur.bfile import format_bfile
-from ribbon_schur.cli import count_cap, main
+from ribbon_schur.cli import VARIANTS, count_cap, main
 from ribbon_schur.dirichlet import series_R
 from ribbon_schur.oracle import COUNT_BUDGET
 
@@ -365,3 +369,59 @@ class TestJsonRoundTripAllCommands:
         assert payload["command"] == argv[0]
         assert json.loads(json.dumps(payload)) == payload
         assert code == 0
+
+
+# A fuzzed command line is a subcommand, its arguments (mostly well formed)
+# and up to three extra pieces, in any order.  Numbers are small enough to
+# answer at once or large enough to be refused before any work; a value for
+# --budget, which lifts a refusal, is always small.  Soup has no "-", so that
+# it never abbreviates a flag.
+SMALL = st.integers(-1, 9).map(str)
+NUMBER = SMALL | st.integers(COUNT_BUDGET + 1, 10**40).map(str)
+COMPOSITION = st.lists(st.integers(1, 4), min_size=1, max_size=6).map(
+    lambda parts: ",".join(map(str, parts)))
+SOUP = st.sampled_from(["(2,1,3)", "1,,2", "0", "()", "x", "1.5", "\u0663", "", "9" * 1000,
+                        "9" * 1001, str(FIXTURES / "missing.txt")]) | st.text(
+    "0123456789,() x", max_size=8)
+BFILE = st.sampled_from(sorted(str(p) for p in FIXTURES.glob("*.txt"))) | SOUP
+# subcommand -> (one argument, number of arguments)
+ARGUMENTS = {
+    "count": (st.tuples(st.just("--max-n"), NUMBER).map(list), 1),
+    "count-length": (NUMBER.map(lambda a: [a]), 1),
+    "factor": ((COMPOSITION | SOUP).map(lambda a: [a]), 1),
+    "normalize": ((COMPOSITION | SOUP).map(lambda a: [a]), 1),
+    "equiv": ((COMPOSITION | SOUP).map(lambda a: [a]), 2),
+    "class": ((COMPOSITION | SOUP).map(lambda a: [a]), 1),
+    "oracle-check": (NUMBER.map(lambda a: [a]), 1),
+    "oeis-compare": (BFILE.map(lambda a: [a]), 1),
+    "nope": (SOUP.map(lambda a: [a]), 1),
+}
+EXTRA = st.one_of(
+    st.sampled_from([["--json"], ["--refined"], ["--help"], ["--max-n"], ["--cache-dir", ""]]),
+    st.tuples(st.sampled_from(["--max-n", "--jobs"]), NUMBER).map(list),
+    st.tuples(st.just("--budget"), SMALL).map(list),
+    st.tuples(st.just("--variant"), st.sampled_from(sorted(VARIANTS) + ["bogus"])).map(list),
+    st.sampled_from(sorted(ARGUMENTS)).map(lambda a: [a]),
+    (NUMBER | SOUP).map(lambda a: [a]),
+)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(ARGUMENTS)))
+    argument, count = ARGUMENTS[command]
+    pieces = [draw(argument) for _ in range(count)] + draw(st.lists(EXTRA, max_size=3))
+    return [command] + sum(draw(st.permutations(pieces)), [])
+
+
+class TestFuzzedCommandLine:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(command_lines())
+    def test_every_argv_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert "error:" in err.getvalue()

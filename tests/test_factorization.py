@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from functools import reduce
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ribbon_schur.compositions import Composition, compose, enumerate_compositions
 from ribbon_schur.factorization import (
+    Factorization,
     _split,
     count_asymmetric_factors,
     equivalence_class,
@@ -33,6 +35,33 @@ def C(*parts):
 
 def all_compositions(n):
     return list(enumerate_compositions(n))
+
+
+class TestFactorizationRecord:
+    # reprs and hashes as the frozen dataclass gave them; int and tuple
+    # hashes do not depend on PYTHONHASHSEED
+    def test_repr_and_hash(self):
+        f = irreducible_factorization(C(1, 2, 1, 1, 2, 1))
+        assert repr(f) == ("Factorization(factors=(Composition((1, 1)), Composition((2,)),"
+                           " Composition((1, 1))))")
+        assert hash(f) == 889730208644984497
+        assert hash(irreducible_factorization(C(3))) == -4759917355448008827
+
+    def test_equality_is_by_factors_and_class(self):
+        f = irreducible_factorization(C(2, 1, 2, 1))
+        assert f == Factorization(factors=f.factors) and len({f, Factorization(f.factors)}) == 1
+        assert f != irreducible_factorization(C(1, 2, 1, 2))
+        assert f != f.factors
+        assert pickle.loads(pickle.dumps(f)) == f
+
+    @pytest.mark.parametrize("name", ["factors", "other"])
+    def test_is_immutable(self, name):
+        f = irreducible_factorization(C(1, 3))
+        with pytest.raises(AttributeError):
+            setattr(f, name, ())
+        with pytest.raises(AttributeError):
+            delattr(f, "factors")
+        assert f.factors == (C(1, 3),)
 
 
 # irreducible compositions of size <= 9, found without the library

@@ -11,6 +11,7 @@ from ribbon_schur.factorization import _factor_parts, count_asymmetric_factors, 
 from ribbon_schur.lengthpolys import poly_R_recursive, poly_R_refined
 from ribbon_schur.oracle import (
     BudgetError,
+    CrossValidationReport,
     brute_force_classes,
     brute_force_length_histogram,
     cross_validate,
@@ -174,6 +175,17 @@ class TestCrossValidation:
     def test_budget(self):
         with pytest.raises(BudgetError):
             cross_validate(17)
+
+    def test_report_record(self):
+        report = CrossValidationReport(n=4, fingerprint_classes=6, normal_form_classes=6,
+                                       identical=True)
+        assert report == cross_validate(4) == CrossValidationReport(4, 6, 6, True, [])
+        assert report != CrossValidationReport(4, 6, 6, True, ["x"])
+        assert repr(report) == ("CrossValidationReport(n=4, fingerprint_classes=6,"
+                                " normal_form_classes=6, identical=True, mismatches=[])")
+        other = CrossValidationReport(4, 6, 6, True)
+        other.mismatches.append("x")
+        assert report.mismatches == []
 
     def test_unreversed_last_factor_is_caught(self, monkeypatch):
         def planted(alpha):
