@@ -22,9 +22,9 @@ _EXPORTS = {
         "near_concatenate", "odot_power", "parse_composition",
     ),
     "dirichlet": (
-        "DirichletSeries", "convolve", "invert", "series_C", "series_Lcross", "series_P",
-        "series_Pcross", "series_Pstar", "series_R", "series_R_decomposed",
-        "series_R_refined", "series_S", "series_lexmin", "series_zeta",
+        "DirichletSeries", "series_C", "series_Lcross", "series_P", "series_Pcross",
+        "series_Pstar", "series_R", "series_R_refined", "series_S", "series_lexmin",
+        "series_zeta",
     ),
     "factorization": (
         "Factorization", "count_asymmetric_factors", "equivalence_class", "equivalent",

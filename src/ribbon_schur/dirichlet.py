@@ -1,41 +1,69 @@
-"""Exact truncated Dirichlet series and the counting formulas by size.
+"""Truncated Dirichlet series over the integers, and the counting formulas by size.
 
-A series is stored as its first N coefficients a_1..a_N; the product is the
-Dirichlet convolution (a*b)_n = sum over d|n of a_d b_{n/d}.  Coefficients
-are exact rationals throughout: several of the formulas divide by a series
-whose leading coefficient is 2, so intermediate inverses are not integral
-even though every final count is.  Integrality is asserted only when counts
-are extracted.
+A series is stored as its first N coefficients a_1..a_N, all ints; the
+product is the Dirichlet convolution (a * b)_n = sum over d|n of a_d b_{n/d}.
+Division is one triangular solve (Apostol, *Introduction to Analytic Number
+Theory*, ch. 2): x * b = a gives x_n = (a_n - sum over d|n, d < n, of
+x_d b_{n/d}) / b_1, and the solve raises ValueError at the first remainder
+that is not zero.  The counting formulas divide only by zeta, R and S, whose
+first coefficient is 1, and by 2C - z(C - S), whose first coefficient is 2
+and whose quotient counts normal forms, so it is integral; (C + S)/2 and
+(C - S)/2 are exact halvings.  Each counting series builds one divisor table
+for all its products and solves; nothing outlives the call.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable
-
-Rational = Fraction | int
+from collections.abc import Iterable
 
 DEFAULT_BOUND = 33
 
+# Internally a series is a list indexed by n, with an unused 0 at index 0.
+Padded = list[int]
 
-@lru_cache(maxsize=64)
-def _divisor_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """divisors[k] lists the divisors of k, for k = 0..n (index 0 unused)."""
-    table: list[list[int]] = [[] for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        for m in range(d, n + 1, d):
+
+def _proper_divisors(bound: int) -> list[list[int]]:
+    """divisors[k] lists the divisors d < k of k, for k = 0..bound."""
+    if bound < 1:
+        raise ValueError("a series needs at least the coefficient a_1")
+    table: list[list[int]] = [[] for _ in range(bound + 1)]
+    for d in range(1, bound // 2 + 1):
+        for m in range(2 * d, bound + 1, d):
             table[m].append(d)
-    return tuple(tuple(row) for row in table)
+    return table
+
+
+def _mul(a: Padded, b: Padded, divisors: list[list[int]]) -> Padded:
+    b1 = b[1]
+    return [0] + [sum(a[d] * b[n // d] for d in divisors[n]) + a[n] * b1
+                  for n in range(1, len(a))]
+
+
+def _solve(num: Padded, den: Padded, divisors: list[list[int]]) -> Padded:
+    """The x with x * den = num; ValueError unless x is integral."""
+    lead = den[1]
+    if not lead:
+        raise ZeroDivisionError("a series with a_1 = 0 has no convolution inverse")
+    x = [0]
+    for n in range(1, len(num)):
+        value, rest = divmod(num[n] - sum(x[d] * den[n // d] for d in divisors[n]), lead)
+        if rest:
+            raise ValueError(f"coefficient a_{n} of the quotient is not an integer")
+        x.append(value)
+    return x
 
 
 class DirichletSeries:
-    """Coefficients a_1..a_N of a truncated Dirichlet series, exact rationals."""
+    """Coefficients a_1..a_N of a truncated Dirichlet series, all ints."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational]):
-        self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable[int]):
+        values = tuple(coeffs)
+        self.coeffs: tuple[int, ...] = tuple(map(int, values))
+        if self.coeffs != values:
+            bad = next(v for v, c in zip(values, self.coeffs) if v != c)
+            raise ValueError(f"coefficient {bad!r} is not an integer")
         if not self.coeffs:
             raise ValueError("a series needs at least the coefficient a_1")
 
@@ -48,11 +76,7 @@ class DirichletSeries:
         """The convolution identity: 1 at n = 1, zero elsewhere."""
         return cls([1] + [0] * (bound - 1))
 
-    @classmethod
-    def from_function(cls, bound: int, f: Callable[[int], Rational]) -> "DirichletSeries":
-        return cls([f(n) for n in range(1, bound + 1)])
-
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> int:
         """The coefficient of n^-s (1-indexed)."""
         if not 1 <= n <= self.bound:
             raise IndexError(f"coefficient index {n} outside 1..{self.bound}")
@@ -70,53 +94,32 @@ class DirichletSeries:
 
     def __add__(self, other: "DirichletSeries") -> "DirichletSeries":
         self._check_bound(other)
-        return DirichletSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return DirichletSeries(map(int.__add__, self.coeffs, other.coeffs))
 
     def __sub__(self, other: "DirichletSeries") -> "DirichletSeries":
         self._check_bound(other)
-        return DirichletSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "DirichletSeries":
-        return DirichletSeries(-a for a in self.coeffs)
-
-    def scale(self, c: Rational) -> "DirichletSeries":
-        c = Fraction(c)
-        return DirichletSeries(c * a for a in self.coeffs)
+        return DirichletSeries(map(int.__sub__, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "DirichletSeries") -> "DirichletSeries":
         """Dirichlet convolution (bounds must agree)."""
         self._check_bound(other)
-        a, b = self.coeffs, other.coeffs
-        divisors = _divisor_table(self.bound)
-        out = []
-        for n in range(1, self.bound + 1):
-            out.append(sum(a[d - 1] * b[n // d - 1] for d in divisors[n]))
-        return DirichletSeries(out)
+        product = _mul([0, *self.coeffs], [0, *other.coeffs], _proper_divisors(self.bound))
+        return DirichletSeries(product[1:])
+
+    def __truediv__(self, other: "DirichletSeries") -> "DirichletSeries":
+        """The x with x * other == self; ValueError unless x is integral."""
+        self._check_bound(other)
+        x = _solve([0, *self.coeffs], [0, *other.coeffs], _proper_divisors(self.bound))
+        return DirichletSeries(x[1:])
 
     def inverse(self) -> "DirichletSeries":
-        """Convolution inverse, defined when a_1 is nonzero."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ZeroDivisionError("series with a_1 = 0 has no convolution inverse")
-        lead = 1 / a[0]
-        b: list[Fraction] = [lead]
-        divisors = _divisor_table(self.bound)
-        for n in range(2, self.bound + 1):
-            acc = Fraction(0)
-            for d in divisors[n]:
-                if d < n:
-                    acc += b[d - 1] * a[n // d - 1]
-            b.append(-lead * acc)
-        return DirichletSeries(b)
+        """Convolution inverse; ZeroDivisionError when a_1 = 0, ValueError
+        when the inverse is not integral."""
+        return DirichletSeries.identity(self.bound) / self
 
     def integer_coefficients(self) -> list[int]:
-        """The coefficients as ints; raises if any is not an integer."""
-        out = []
-        for n, c in enumerate(self.coeffs, start=1):
-            if c.denominator != 1:
-                raise ValueError(f"coefficient a_{n} = {c} is not an integer")
-            out.append(c.numerator)
-        return out
+        """The coefficients a_1..a_N as a list."""
+        return list(self.coeffs)
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -124,15 +127,39 @@ class DirichletSeries:
         return f"DirichletSeries([{shown}{tail}], bound={self.bound})"
 
 
-def convolve(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
-    return a * b
-
-
-def invert(a: DirichletSeries) -> DirichletSeries:
-    return a.inverse()
-
-
 # --- the counting series -------------------------------------------------------
+
+def _C(bound: int) -> Padded:
+    return [0] + [1 << (n - 1) for n in range(1, bound + 1)]
+
+
+def _S(bound: int) -> Padded:
+    return [0] + [1 << (n // 2) for n in range(1, bound + 1)]
+
+
+def _half(values: Iterable[int]) -> DirichletSeries:
+    halves = [divmod(v, 2) for v in values]
+    if any(rest for _, rest in halves):
+        raise ValueError("halving a series with an odd coefficient")
+    return DirichletSeries(half for half, _ in halves)
+
+
+def _refined(bound: int, z: int, divisors: list[list[int]]) -> Padded:
+    # 2CS / (2C - z(C - S))
+    c, s = _C(bound), _S(bound)
+    numerator = [2 * v for v in _mul(c, s, divisors)]
+    return _solve(numerator, [2 * a - z * (a - b) for a, b in zip(c, s)], divisors)
+
+
+def _inverse(a: Padded, divisors: list[list[int]]) -> Padded:
+    return _solve([0, 1] + [0] * (len(a) - 2), a, divisors)
+
+
+def _irreducible(inverse: Padded, divisors: list[list[int]]) -> DirichletSeries:
+    # 2/zeta - 1 - inverse, for inverse = 1/R or 1/S
+    mu = _inverse([0] + [1] * (len(inverse) - 1), divisors)
+    return DirichletSeries(2 * mu[n] - (n == 1) - inverse[n] for n in range(1, len(mu)))
+
 
 def series_zeta(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """All coefficients 1."""
@@ -141,83 +168,55 @@ def series_zeta(bound: int = DEFAULT_BOUND) -> DirichletSeries:
 
 def series_C(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts all compositions by size: 2^(n-1)."""
-    return DirichletSeries.from_function(bound, lambda n: 1 << (n - 1))
+    return DirichletSeries(_C(bound)[1:])
 
 
 def series_S(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts symmetric compositions by size: 2^floor(n/2)."""
-    return DirichletSeries.from_function(bound, lambda n: 1 << (n // 2))
+    return DirichletSeries(_S(bound)[1:])
 
 
 def series_R(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts distinct ribbon Schur functions by size: 2CS / (C + S)."""
-    c = series_C(bound)
-    s = series_S(bound)
-    r = (c * s).scale(2) * (c + s).inverse()
-    r.integer_coefficients()
-    return r
-
-
-def series_R_decomposed(bound: int = DEFAULT_BOUND) -> DirichletSeries:
-    """Same sequence as ``series_R`` computed along the recursive decomposition:
-    Lx = (C - S)/2, R1 = Lx/C, R = S/(1 - R1)."""
-    c = series_C(bound)
-    s = series_S(bound)
-    lx = (c - s).scale(Fraction(1, 2))
-    r1 = lx * c.inverse()
-    r = s * (DirichletSeries.identity(bound) - r1).inverse()
-    r.integer_coefficients()
-    return r
+    return series_R_refined(bound, 1)
 
 
 def series_Lcross(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts asymmetric lexicographic minimal compositions: (C - S)/2."""
-    lx = (series_C(bound) - series_S(bound)).scale(Fraction(1, 2))
-    lx.integer_coefficients()
-    return lx
+    return _half(map(int.__sub__, _C(bound)[1:], _S(bound)[1:]))
 
 
 def series_lexmin(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts lexicographic minimal compositions: (C + S)/2."""
-    lm = (series_C(bound) + series_S(bound)).scale(Fraction(1, 2))
-    lm.integer_coefficients()
-    return lm
+    return _half(map(int.__add__, _C(bound)[1:], _S(bound)[1:]))
 
 
 def series_P(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts normalised irreducible compositions: 2/zeta - 1 - 1/R."""
-    e = DirichletSeries.identity(bound)
-    p = series_zeta(bound).inverse().scale(2) - e - series_R(bound).inverse()
-    p.integer_coefficients()
-    return p
+    divisors = _proper_divisors(bound)
+    r_inverse = _inverse(_refined(bound, 1, divisors), divisors)
+    return _irreducible(r_inverse, divisors)
 
 
 def series_Pstar(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts symmetric irreducible compositions: 2/zeta - 1 - 1/S."""
-    e = DirichletSeries.identity(bound)
-    p = series_zeta(bound).inverse().scale(2) - e - series_S(bound).inverse()
-    p.integer_coefficients()
-    return p
+    divisors = _proper_divisors(bound)
+    return _irreducible(_inverse(_S(bound), divisors), divisors)
 
 
 def series_Pcross(bound: int = DEFAULT_BOUND) -> DirichletSeries:
     """Counts asymmetric (normalised) irreducible compositions: 1/S - 1/R."""
-    p = series_S(bound).inverse() - series_R(bound).inverse()
-    p.integer_coefficients()
-    return p
+    divisors = _proper_divisors(bound)
+    s_inverse = _inverse(_S(bound), divisors)
+    r_inverse = _inverse(_refined(bound, 1, divisors), divisors)
+    return DirichletSeries(map(int.__sub__, s_inverse[1:], r_inverse[1:]))
 
 
 def series_R_refined(bound: int = DEFAULT_BOUND, z: int = 1) -> DirichletSeries:
     """Normal forms weighted z^(number of asymmetric factors):
     2CS / (2C - z(C - S)).
 
-    The leading denominator coefficient is 2 for every z, so the inverse
-    always exists; z in {0, 1, 2} specializes to S, R and C.
+    The first coefficient of the denominator is 2 for every z, and the
+    quotient is integral; z in {0, 1, 2} specializes to S, R and C.
     """
-    c = series_C(bound)
-    s = series_S(bound)
-    numerator = (c * s).scale(2)
-    denominator = c.scale(2) - (c - s).scale(z)
-    r = numerator * denominator.inverse()
-    r.integer_coefficients()
-    return r
+    return DirichletSeries(_refined(bound, z, _proper_divisors(bound))[1:])

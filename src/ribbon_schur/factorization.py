@@ -18,14 +18,16 @@ the first block, and the check is that all ``m |R|`` shifted copies are cuts
 and the remaining cuts are multiples of q.  A right factor of length two or
 more needs ``m < length(alpha)``; a single-component right factor is only
 ever needed for the gcd of the parts, because adjacent single-component
-atoms multiply.  One split costs O(l * #{m | n : m < l}) set lookups for a
-composition of length l and size n, independent of the size of the parts.
+atoms multiply.  For length l and size n, one split filters the m < l to
+divisors of n in C, rejects each in O(1) unless its first and last blocks
+both fit, and pays O(l) set lookups only for a divisor that passes: at most
+O(l * #{m | n : m < l}), independent of the size of the parts.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, product
+from itertools import accumulate, filterfalse, product
 from math import gcd
 
 from .compositions import Composition, Parts, _compose_raw
@@ -86,15 +88,18 @@ def _split(alpha: Parts) -> tuple[Parts, Parts] | None:
         # (1) and the all-ones compositions split only trivially
         return None
     cuts = list(accumulate(alpha[:-1]))
-    cut_set = set(cuts)
-    for m in range(2, c + 1):
-        if n % m:
-            continue
+    cut_set = None
+    for m in filterfalse(n.__mod__, range(2, c + 1)):
         q, k = n // m, c // m
         # c = m * |R| + (cuts of beta, at most m - 1) forces |R| = k, and R
-        # is read off the first block, so exactly k cuts lie below q
-        if cuts[k - 1] >= q or cuts[k] < q:
+        # is read off the first block, so exactly k cuts lie below q; the
+        # last k cuts are then the first block's, shifted by (m - 1)q
+        last = (m - 1) * q
+        if (cuts[k - 1] >= q or cuts[k] < q
+                or cuts[c - k] != last + cuts[0] or cuts[-1] != last + cuts[k - 1]):
             continue
+        if cut_set is None:
+            cut_set = set(cuts)
         head = cuts[:k]
         if not all(j + r in cut_set for j in range(q, n, q) for r in head):
             continue
@@ -153,7 +158,12 @@ def irreducible_factorization(alpha: Composition) -> Factorization:
 
 
 def _normal_form(alpha: Parts) -> Parts:
-    return reduce(_compose_raw, [min(f, f[::-1]) for f in _factor_parts(alpha)])
+    split = _split(alpha)
+    if split is None:
+        return min(alpha, alpha[::-1])
+    beta, gamma = split
+    factors = _merge_trivial_neighbours(_factor_parts(beta) + _factor_parts(gamma))
+    return reduce(_compose_raw, [min(f, f[::-1]) for f in factors])
 
 
 def normalize(alpha: Composition) -> Composition:

@@ -4,19 +4,22 @@ These deliberately reimplement operations from first principles (straight
 from the definitions, with no shared code or clever shortcuts) so that the
 library can be checked against an independent path.  The length polynomials
 get two such paths: the dense divisor recursions, and their closed solutions
-as sums over divisor chains.
+as sums over divisor chains.  The counts by size get the formulas over
+``Fraction``, and the split search keeps its set-lookup version.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import comb
+from itertools import accumulate, product
+from math import comb, gcd
 from typing import Callable
 
 from ribbon_schur.compositions import Composition
-from ribbon_schur.factorization import _normal_form
+from ribbon_schur.dirichlet import DirichletSeries, series_C, series_S
+from ribbon_schur.factorization import _gaps, _normal_form
 from ribbon_schur.lengthpolys import (
     InexactDivisionError,
     LengthPoly,
@@ -122,6 +125,111 @@ def factorization_by_exhaustion(alpha: Parts) -> tuple[Parts, ...]:
         else:
             i += 1
     return tuple(factors)
+
+
+def split_by_set_lookups(alpha: Parts) -> tuple[Parts, Parts] | None:
+    """The first nontrivial split, as the library found it with one set
+    lookup per cut for every m < length with m | n."""
+    n, c = sum(alpha), len(alpha) - 1
+    if n == c + 1:
+        return None
+    cuts = list(accumulate(alpha[:-1]))
+    cut_set = set(cuts)
+    for m in range(2, c + 1):
+        if n % m:
+            continue
+        q, k = n // m, c // m
+        if cuts[k - 1] >= q or cuts[k] < q:
+            continue
+        head = cuts[:k]
+        if not all(j + r in cut_set for j in range(q, n, q) for r in head):
+            continue
+        junctions = [j for j in range(1, m) if j * q in cut_set]
+        if len(junctions) + m * k == c:
+            return _gaps(junctions, m), _gaps(head, q)
+    g = gcd(*alpha)
+    if 1 < g < n:
+        return tuple(a // g for a in alpha), (g,)
+    return None
+
+
+# --- counts by size over Fraction --------------------------------------------------
+#
+# The formulas as the paper states them, every quotient a product with a
+# rational inverse; coefficient lists a_1..a_N, products by the definition.
+
+def rational_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * len(a)
+    for d in range(1, len(a) + 1):
+        for m in range(1, len(a) // d + 1):
+            out[d * m - 1] += a[d - 1] * b[m - 1]
+    return out
+
+
+def rational_inverse(a: list[Fraction]) -> list[Fraction]:
+    """b with a * b = 1: b_1 = 1/a_1, b_n = -(sum over d|n, d < n, of b_d a_{n/d})/a_1."""
+    acc = [Fraction(0)] * len(a)
+    acc[0] = Fraction(-1)
+    b = []
+    for n in range(1, len(a) + 1):
+        b.append(-acc[n - 1] / a[0])
+        for m in range(2, len(a) // n + 1):
+            acc[n * m - 1] += b[-1] * a[m - 1]
+    return b
+
+
+def _rational_c_s(bound: int) -> tuple[list[Fraction], list[Fraction]]:
+    return ([Fraction(2) ** (n - 1) for n in range(1, bound + 1)],
+            [Fraction(2) ** (n // 2) for n in range(1, bound + 1)])
+
+
+def rational_R_refined(bound: int, z: int = 1) -> list[Fraction]:
+    """2CS / (2C - z(C - S)); z = 1 gives 2CS / (C + S)."""
+    c, s = _rational_c_s(bound)
+    numerator = [2 * v for v in rational_mul(c, s)]
+    return rational_mul(numerator, rational_inverse([2 * a - z * (a - b) for a, b in zip(c, s)]))
+
+
+def rational_variant(variant: str, bound: int) -> list[Fraction]:
+    """The sequence ``count --variant`` prints, by the Fraction formulas."""
+    c, s = _rational_c_s(bound)
+    e = [Fraction(1)] + [Fraction(0)] * (bound - 1)
+    two_mu_minus_e = [2 * m - u for m, u in zip(rational_inverse([Fraction(1)] * bound), e)]
+    if variant == "compositions":
+        return c
+    if variant == "symmetric":
+        return s
+    if variant == "lexmin":
+        return [(a + b) / 2 for a, b in zip(c, s)]
+    if variant == "all":
+        return rational_R_refined(bound)
+    if variant == "irreducible":
+        return [a - b for a, b in zip(two_mu_minus_e, rational_inverse(rational_R_refined(bound)))]
+    if variant == "symmetric-irreducible":
+        return [a - b for a, b in zip(two_mu_minus_e, rational_inverse(s))]
+    if variant == "asymmetric-irreducible":
+        return [a - b for a, b in zip(rational_inverse(s),
+                                       rational_inverse(rational_R_refined(bound)))]
+    raise KeyError(variant)
+
+
+# --- counts by size along other routes ---------------------------------------------
+
+def convolve(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
+    return a * b
+
+
+def invert(a: DirichletSeries) -> DirichletSeries:
+    return a.inverse()
+
+
+def series_R_decomposed(bound: int) -> DirichletSeries:
+    """The ribbon counts along the recursive decomposition:
+    Lx = (C - S)/2, R1 = Lx/C, R = S/(1 - R1)."""
+    c, s = series_C(bound), series_S(bound)
+    lx = DirichletSeries(Fraction(v, 2) for v in (c - s).coeffs)
+    r1 = lx * c.inverse()
+    return s * (DirichletSeries.identity(bound) - r1).inverse()
 
 
 # --- length polynomials by dense recursion ---------------------------------------

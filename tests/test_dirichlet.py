@@ -4,17 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ribbon_schur.dirichlet import (
-    DirichletSeries,
+from helpers import (
     convolve,
     invert,
+    rational_R_refined,
+    rational_variant,
+    series_R_decomposed,
+)
+from ribbon_schur.cli import VARIANTS
+from ribbon_schur.dirichlet import (
+    DirichletSeries,
     series_C,
     series_Lcross,
     series_P,
     series_Pcross,
     series_Pstar,
     series_R,
-    series_R_decomposed,
     series_R_refined,
     series_S,
     series_lexmin,
@@ -44,6 +49,7 @@ DIFFERENCE_TABLE = {
 }
 
 int_seqs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=19)
+big_seqs = st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=0, max_size=29)
 
 
 class TestSeriesArithmetic:
@@ -147,6 +153,13 @@ class TestNamedSeries:
         for n in range(1, 34):
             assert lexmin[n - 1] - r[n - 1] == DIFFERENCE_TABLE.get(n, 0)
 
+    @pytest.mark.parametrize("make", [
+        series_zeta, series_C, series_S, series_R, series_Lcross, series_lexmin,
+        series_P, series_Pstar, series_Pcross, series_R_refined])
+    def test_bound_zero_is_refused(self, make):
+        with pytest.raises(ValueError, match="a_1"):
+            make(0)
+
     def test_counts_are_nonnegative_integers(self):
         for make in (series_R, series_P, series_Pstar, series_Pcross, series_Lcross):
             assert all(v >= 0 for v in make(33).integer_coefficients())
@@ -161,3 +174,52 @@ class TestRefinedSeries:
     def test_other_weights_stay_integral(self):
         for z in (-2, 3, 5):
             series_R_refined(20, z).integer_coefficients()
+
+
+def padded(head, tail, bound):
+    return DirichletSeries([head] + tail + [0] * (bound - 1 - len(tail)))
+
+
+class TestExactSolve:
+    @given(big_seqs, st.sampled_from([1, -1, 2]), int_seqs)
+    def test_division_undoes_multiplication(self, a_tail, lead, b_tail):
+        bound = 30
+        a = padded(7, a_tail, bound)
+        b = padded(lead, b_tail, bound)
+        assert (a * b) / b == a
+
+    @given(big_seqs, int_seqs, st.integers(min_value=1, max_value=30))
+    def test_odd_remainder_raises(self, a_tail, b_tail, n):
+        bound = 30
+        b = padded(2, b_tail, bound)
+        bump = DirichletSeries([int(k == n) for k in range(1, bound + 1)])
+        with pytest.raises(ValueError, match=f"a_{n} "):
+            (padded(-3, a_tail, bound) * b + bump) / b
+
+    def test_inverse_raises_when_not_integral(self):
+        with pytest.raises(ValueError):
+            DirichletSeries([2, 1, 0]).inverse()
+
+    def test_constructor_rejects_non_integral_values(self):
+        with pytest.raises(ValueError):
+            DirichletSeries([1, Fraction(3, 2)])
+        assert DirichletSeries([Fraction(4, 2), 1.0]).coeffs == (2, 1)
+
+
+class TestAgainstFractionFormulas:
+    """Every count variant and refinement equals the formulas over Fraction
+    (tests/helpers.py) at each bound of BOUNDS."""
+
+    BOUNDS = [*range(1, 251), 400]
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_count_variants_at_every_bound(self, variant):
+        expected = rational_variant(variant, self.BOUNDS[-1])
+        for bound in self.BOUNDS:
+            assert VARIANTS[variant](bound) == expected[:bound], bound
+
+    @pytest.mark.parametrize("z", [-2, 0, 1, 2, 3, 5])
+    def test_refined_series(self, z):
+        expected = rational_R_refined(self.BOUNDS[-1], z)
+        for bound in self.BOUNDS:
+            assert series_R_refined(bound, z).integer_coefficients() == expected[:bound], bound

@@ -24,6 +24,7 @@ from ribbon_schur.factorization import (
 from helpers import (
     compositions_up_to,
     factorization_by_exhaustion,
+    split_by_set_lookups,
     splits_by_exhaustion,
     trivial_by_definition,
 )
@@ -129,6 +130,14 @@ class TestSplitPairs:
                 assert split in nontrivial, alpha
             else:
                 assert split is None, alpha
+
+    def test_same_split_as_set_lookups(self):
+        wide = tuple(compose(C(*[1] * 20, 3), C(1, 2)))  # m = 23 blocks, past n <= 20 sweeps
+        cases = [tuple(a) for a in compositions_up_to(14)]
+        cases += [(1,) * 5038 + (2,), wide]
+        for alpha in cases:
+            assert _split(alpha) == split_by_set_lookups(alpha), alpha
+        assert _split(wide) == ((1,) * 20 + (3,), (1, 2))
 
 
 class TestAtomsAndIrreducibles:

@@ -127,20 +127,26 @@ class TestRecursions:
         for n in range(1, 34):
             assert poly_R_recursive(n)(1) == counts[n - 1]
 
-    def test_no_memo_outlives_a_call(self):
+    def test_no_memo_outlives_a_call(self, monkeypatch):
+        monkeypatch.delenv("RIBBON_SCHUR_CACHE_DIR", raising=False)
         with open(os.devnull, "w") as sink:
-            with redirect_stdout(sink):  # first call pays for lazy imports
+            with redirect_stdout(sink):  # first calls pay for lazy imports
                 cli.main(["count-length", "4", "--refined"])
+                cli.main(["count", "--max-n", "4"])
             tracemalloc.start()
             try:
                 start, _ = tracemalloc.get_traced_memory()
                 with redirect_stdout(sink):
                     assert cli.main(["count-length", "720"]) == 0
                     assert cli.main(["count-length", "720", "--refined"]) == 0
-                grown = tracemalloc.get_traced_memory()[0] - start
+                    middle, _ = tracemalloc.get_traced_memory()
+                    assert cli.main(["count", "--max-n", "3000"]) == 0
+                end, _ = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert grown < 2**20
+        assert end - start < 2**20
+        # a divisor table up to 3000 kept between calls would hold about 0.4 MB
+        assert end - middle < 2**18
 
 
 class TestAgainstDenseRecursion:

@@ -16,21 +16,22 @@ import pytest
 import ribbon_schur
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC.parent / "fixtures"
 ENV = dict(os.environ,
            PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+ENV.pop("RIBBON_SCHUR_CACHE_DIR", None)  # so that `count` computes its sequence
 
 EXPORTS = [
     "BudgetError", "Composition", "CompositionParseError", "CrossValidationReport",
     "DirichletSeries", "Factorization", "HFingerprint", "InexactDivisionError", "LengthPoly",
     "brute_force_classes", "brute_force_length_histogram", "compare_lex", "compose",
-    "concatenate", "convolve", "count_asymmetric_factors", "cross_validate",
-    "enumerate_compositions", "equivalence_class", "equivalent", "format_composition",
-    "h_fingerprint", "invert", "irreducible_factorization", "is_atom", "is_irreducible",
-    "is_trivial_pair", "lex_min_form", "near_concatenate", "normalize", "odot_power",
-    "parse_composition", "poly_C", "poly_Lcross", "poly_R1_recursive", "poly_R_recursive",
-    "poly_R_refined", "poly_S", "refined_specialize", "series_C", "series_Lcross",
-    "series_P", "series_Pcross", "series_Pstar", "series_R", "series_R_decomposed",
-    "series_R_refined", "series_S", "series_lexmin", "series_zeta",
+    "concatenate", "count_asymmetric_factors", "cross_validate", "enumerate_compositions",
+    "equivalence_class", "equivalent", "format_composition", "h_fingerprint",
+    "irreducible_factorization", "is_atom", "is_irreducible", "is_trivial_pair",
+    "lex_min_form", "near_concatenate", "normalize", "odot_power", "parse_composition",
+    "poly_C", "poly_Lcross", "poly_R1_recursive", "poly_R_recursive", "poly_R_refined",
+    "poly_S", "refined_specialize", "series_C", "series_Lcross", "series_P", "series_Pcross",
+    "series_Pstar", "series_R", "series_R_refined", "series_S", "series_lexmin", "series_zeta",
 ]
 SUBMODULES = ["compositions", "dirichlet", "factorization", "lengthpolys", "oracle"]
 MODULE_ATTRIBUTES = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__",
@@ -68,6 +69,16 @@ class TestImportFootprint:
     ])
     def test_cli_loads_only_what_it_runs(self, code):
         assert not loaded_by(code) & HEAVY
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--max-n", "40"],
+        ["oeis-compare", str(FIXTURES / "b120421_historical.txt")],
+        ["oracle-check", "8"],
+    ])
+    def test_counting_commands_load_no_rationals(self, argv):
+        loaded = loaded_by(f"from ribbon_schur.cli import main; main({argv!r})")
+        assert "ribbon_schur.dirichlet" in loaded
+        assert not loaded & {"fractions", "decimal"}
 
     def test_serial_exhaustive_run_starts_no_pool(self):
         loaded = loaded_by("import ribbon_schur; ribbon_schur.brute_force_classes(12)")
