@@ -230,26 +230,26 @@ def cmd_class(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     from .dirichlet import series_lexmin, series_R
-    from .oracle import brute_force_classes, cross_validate
+    from .oracle import cross_validate_with_classes
 
     n = args.n
-    report = cross_validate(n, budget=args.budget)
-    classes = brute_force_classes(n, budget=args.budget, jobs=args.jobs)
+    report, sizes = cross_validate_with_classes(n, budget=args.budget, jobs=args.jobs)
+    classes = len(sizes)
     formula = series_R(n).integer_coefficients()[n - 1]
     lexmin = series_lexmin(n).integer_coefficients()[n - 1]
-    excess = lexmin - len(classes)
+    excess = lexmin - classes
     consistent = (
         report.identical
-        and report.normal_form_classes == len(classes)
-        and len(classes) == formula
-        and sum(size for _, size in classes) == 1 << (n - 1)
+        and report.normal_form_classes == classes
+        and classes == formula
+        and sum(sizes.values()) == 1 << (n - 1)
     )
     if args.json:
         _emit_json(
             "oracle-check",
             {"n": n, "jobs": args.jobs},
             {
-                "classes": len(classes),
+                "classes": classes,
                 "formula_count": formula,
                 "fingerprint_identical": report.identical,
                 "lexmin_excess": excess,
@@ -259,11 +259,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         )
     else:
         verdict = "identical" if report.identical else "DIFFERENT"
-        print(f"{len(classes)} classes; fingerprint partition {verdict}; lexmin excess {excess}")
+        print(f"{classes} classes; fingerprint partition {verdict}; lexmin excess {excess}")
         for line in report.mismatches:
             print(line)
-        if len(classes) != formula:
-            print(f"class count {len(classes)} != formula count {formula}")
+        if classes != formula:
+            print(f"class count {classes} != formula count {formula}")
     return 0 if consistent else 1
 
 

@@ -1,46 +1,48 @@
 """Independent ground truth for the counting formulas and the equality test.
 
-Two oracles that share no code with the formula paths:
+Two oracles share no code with the formula paths: exhaustive enumeration
+(`brute_force_classes`), which partitions all 2^(n-1) compositions of n by
+their normal form, and a semantic check of that partition against the
+ribbons themselves (`cross_validate`).
 
-* exhaustive enumeration, which partitions all 2^(n-1) compositions of n by
-  their normal form, and
-* a semantic check of that partition against the ribbons themselves.
+Both take the compositions in cut-mask order from
+`compositions.composition_parts_in_range` and key each normal form by its
+parts as bytes: for n <= 255 one byte a part, so sorted keys give the
+composition order, and keys hash once and pickle cheaply to and from worker
+processes.  Larger sizes are refused with `BudgetError` before any work.
 
-The exhaustive sweep takes the compositions from
-`compositions.composition_parts_in_range`: a table of the compositions given
-by the low 10 bits of the cut mask is decoded once, and each composition is
-then one tuple concatenation of a table entry with the parts of the high
-bits (the two touching parts added when the cut between the halves is
-clear).  Each normal form is counted under its parts as a bytes object.
-Every part is at most n, so for n <= 255 each part is one byte, and bytes
-compare like the tuples they encode (element by element, a prefix first),
-so sorting the keys gives the composition order; the keys also hash once
-and pickle cheaply on their way back from the worker processes.  Sizes
-above 255 are refused with `BudgetError` before any work; no such sweep
-(2^254 compositions or more) could finish anyway.
-
-The semantic check evaluates every ribbon at one fixed random point.  A
-ribbon is the alternating sum over the coarsenings of its composition of
-products of complete homogeneous functions h_k (the expansion of its skew
-Jacobi-Trudi determinant).  Sending h_0 to 1 and each h_k to a seeded
-residue mod the prime p = 2^61 - 1 is a ring map, so equal ribbons always
-get equal values, in exact integer arithmetic.  Comparing the value
-partition with the normal-form partition gives the two directions of the
-equality theorem with different strength:
+The semantic check evaluates every ribbon, the alternating sum of products
+of complete homogeneous functions h_k over the coarsenings of its
+composition, at one seeded point: h_0 = 1 and each h_k a residue mod the
+prime p = 2^61 - 1.  That is a ring map, so equal ribbons get equal values,
+in exact integer arithmetic.  The values are built by cut mask from
+r(alpha.a) = r(alpha) h_a - r(alpha(.)a), at O(1) per composition.  One pass
+computes each normal form once, keeping one value per normal form and the
+class sizes.  The value and normal-form partitions are equal exactly when no
+normal form meets two values and no value serves two normal forms; this
+gives the two directions of the equality theorem with different strength:
 
 * proved outright: when the two partitions are equal, compositions with
   different normal forms have different values, hence different ribbons;
 * checked up to a collision chance of n/p per pair (Schwartz-Zippel):
   compositions with equal normal forms have equal ribbons;
-* confirmed exactly: a value shared by compositions with different normal
-  forms is settled by the full h-basis expansion (`h_fingerprint`) before
-  any mismatch is reported, so a collision never shows as a mismatch.
+* confirmed exactly: when the partitions differ, the compositions are
+  grouped again, and a value shared across normal forms is settled by the
+  h-basis expansion (`h_fingerprint`), so a collision never shows as a
+  mismatch.
+
+With worker processes, worker w takes the compositions whose length is w
+modulo the number of workers.  A normal form keeps the length, so the
+workers' classes should be disjoint; the parent checks that they are.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from itertools import compress
+from operator import lt
 
 from .compositions import Composition, Parts, _trusted_composition, composition_parts_in_range
 from .factorization import _normal_form
@@ -128,38 +130,57 @@ def _h_values(n: int) -> list[int]:
     return [1] + [rng.randrange(_MODULUS) for _ in range(n)]
 
 
-def _ribbon_values(n: int) -> Iterator[tuple[Parts, int]]:
-    """Every composition of n with the value of its ribbon at `_h_values(n)`.
+def _ribbon_row(n: int) -> list[int]:
+    """Ribbon values at `_h_values(n)` of the compositions of n, by cut mask.
 
-    With s_0 < s_1 < ... the partial sums, G_0 = 1 and
-    G_(i+1) = -sum_(j <= i) G_j h(s_(i+1) - s_j), the ribbon's value is
-    (-1)^length G_length.  The walk is depth first over the composition
-    tree, so each prefix's G is computed once and shared by its extensions.
-    """
-    h = _h_values(n)
-    # parts[i] is the part tried after the prefix that ends at sums[i]
-    sums, signed, parts = [0], [1], [1]
-    while True:
-        t = sums[-1] + parts[-1]
-        if t > n:  # every extension of this prefix is done
-            if len(parts) == 1:
-                return
-            parts.pop()
-            sums.pop()
-            signed.pop()
-            parts[-1] += 1
-            continue
-        g = -sum(gj * h[t - sj] for gj, sj in zip(signed, sums)) % _MODULUS
-        if t < n:
-            sums.append(t)
-            signed.append(g)
-            parts.append(1)
-        else:
-            yield tuple(parts), (-g if len(parts) & 1 else g) % _MODULUS
-            parts[-1] += 1
+    A mask with highest bit b gives alpha.a, where the lower bits give alpha,
+    of size b + 1, and alpha(.)a; so the block of masks with highest bit b
+    comes from the row of size b + 1 and the masks below 2^b."""
+    h, p = _h_values(n), _MODULUS
+    rows: list[list[int]] = [[]]
+    for m in range(1, n + 1):
+        row = [h[m]]
+        for b in range(m - 1):
+            hb = h[m - b - 1]
+            row += [(x * hb - y) % p for x, y in zip(rows[b + 1], row)]
+        rows.append(row)
+    return rows[n]
+
+
+def _ribbon_values(n: int) -> Iterator[tuple[Parts, int]]:
+    """Every composition of n, in cut-mask order, with the value of its ribbon."""
+    return zip(composition_parts_in_range(n, 0, 1 << (n - 1)), _ribbon_row(n))
 
 
 # --- exhaustive enumeration ------------------------------------------------------
+
+def _refuse(n: int, budget: int, kind: str) -> None:
+    """Raise, before any work, for a size out of bounds."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > budget:
+        raise BudgetError(f"n = {n} exceeds the {kind} budget {budget}")
+    if n > MAX_EXHAUSTIVE_N:
+        raise BudgetError(
+            f"n = {n} exceeds {MAX_EXHAUSTIVE_N}, the largest size whose parts fit in a byte"
+        )
+
+
+def _pool_size(n: int, jobs: int | None) -> int:
+    """Worker processes for a sweep of size n: none (1) below 2^14 masks."""
+    return jobs if jobs and n >= 15 else 1
+
+
+def _map(chunk: Callable, tasks: list[tuple[int, int, int]], jobs: int) -> Iterator:
+    """``chunk`` of each task, in this process or in ``jobs`` worker processes."""
+    if jobs == 1:
+        yield from map(chunk, tasks)
+        return
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap_unordered(chunk, tasks)
+
 
 def _normal_form_chunk(args: tuple[int, int, int]) -> Counter:
     n, lo, hi = args
@@ -168,25 +189,14 @@ def _normal_form_chunk(args: tuple[int, int, int]) -> Counter:
 
 def _class_counter(n: int, budget: int, jobs: int | None) -> Counter:
     """Class sizes of size n keyed by the normal form's parts as bytes."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > budget:
-        raise BudgetError(f"n = {n} exceeds the exhaustive budget {budget}")
-    if n > MAX_EXHAUSTIVE_N:
-        raise BudgetError(
-            f"n = {n} exceeds {MAX_EXHAUSTIVE_N}, the largest size whose parts fit in a byte"
-        )
-    total = 1 << (n - 1)
-    if not jobs or jobs <= 1 or total < (1 << 14):
-        return _normal_form_chunk((n, 0, total))
-    chunk = -(-total // (jobs * 8))
-    ranges = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    import multiprocessing
-
-    counts: Counter = Counter()
-    with multiprocessing.Pool(jobs) as pool:
-        for part in pool.imap_unordered(_normal_form_chunk, ranges):
-            counts.update(part)
+    _refuse(n, budget, "exhaustive")
+    jobs, total = _pool_size(n, jobs), 1 << (n - 1)
+    step = -(-total // (jobs * 8)) if jobs > 1 else total
+    ranges = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    results = _map(_normal_form_chunk, ranges, jobs)
+    counts = next(results)
+    for part in results:
+        counts.update(part)
     return counts
 
 
@@ -236,30 +246,26 @@ class CrossValidationReport(Record):
         )
 
 
-def _fingerprint_groups(group: list[Parts]) -> list[frozenset[Parts]]:
-    by_fingerprint: dict[HFingerprint, list[Parts]] = {}
-    for parts in group:
-        by_fingerprint.setdefault(h_fingerprint(parts), []).append(parts)
-    return [frozenset(g) for g in by_fingerprint.values()]
+def _pass_chunk(args: tuple[int, int, int]) -> tuple[Counter, array]:
+    """Class sizes, keyed by the normal form's parts as bytes, and one value
+    per class, over the compositions of n whose length is w mod ``jobs``; a
+    normal form met with two values gets the value -1."""
+    n, w, jobs = args
+    lengths, plus_one = b"\1", bytes([*range(1, 256), 0])  # length of each mask's composition
+    for _ in range(n - 1):
+        lengths += lengths.translate(plus_one)
+    mine = lengths.translate(bytes(i % jobs == w for i in range(256)))
+    value_of: dict[bytes, int] = {}
+    sizes = Counter()
+    for parts, value in compress(_ribbon_values(n), mine):
+        key = bytes(_normal_form(parts))
+        if value_of.setdefault(key, value) != value:
+            value_of[key] = -1
+        sizes[key] += 1
+    return sizes, array("q", value_of.values())
 
 
-def cross_validate(n: int, budget: int = DEFAULT_SEMANTIC_BUDGET) -> CrossValidationReport:
-    """Group all compositions of n by ribbon and by normal form, and check
-    that the two partitions coincide.  Mismatches are reported, not raised.
-
-    Compositions are grouped by their ribbon's value at a random point (see
-    the module docstring).  A value group that is also a normal-form group
-    is accepted: its members share one normal form, so by the easy direction
-    of the theorem one ribbon, checked here up to a collision chance of n/p
-    per pair; and no composition outside it has the same value, so every
-    other normal form gives a different ribbon, which is proved outright.
-    Any other value group is split by the exact h-basis expansion, so the
-    report lists only confirmed disagreements, never a collision.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > budget:
-        raise BudgetError(f"n = {n} exceeds the semantic budget {budget}")
+def _grouped_report(n: int) -> CrossValidationReport:
     by_value: dict[int, list[Parts]] = {}
     by_normal_form: dict[Parts, list[Parts]] = {}
     for parts, value in _ribbon_values(n):
@@ -272,16 +278,40 @@ def cross_validate(n: int, budget: int = DEFAULT_SEMANTIC_BUDGET) -> CrossValida
         if members in syntactic:
             semantic.add(members)
         else:
-            semantic.update(_fingerprint_groups(group))
+            by_fingerprint: dict[HFingerprint, list[Parts]] = {}
+            for parts in group:
+                by_fingerprint.setdefault(h_fingerprint(parts), []).append(parts)
+            semantic.update(map(frozenset, by_fingerprint.values()))
     mismatches = []
     for group in sorted(semantic ^ syntactic, key=sorted):
         side = "fingerprint" if group in semantic else "normal form"
         members = ", ".join(str(Composition(p)) for p in sorted(group))
         mismatches.append(f"{side}-only group: {{{members}}}")
-    return CrossValidationReport(
-        n=n,
-        fingerprint_classes=len(semantic),
-        normal_form_classes=len(syntactic),
-        identical=semantic == syntactic,
-        mismatches=mismatches,
-    )
+    return CrossValidationReport(n, len(semantic), len(syntactic), semantic == syntactic, mismatches)
+
+
+def cross_validate_with_classes(
+    n: int, budget: int = DEFAULT_SEMANTIC_BUDGET, jobs: int | None = None
+) -> tuple[CrossValidationReport, Counter]:
+    """`cross_validate`, and the class sizes of size n keyed by the normal
+    form's parts as bytes, from one pass over the compositions (see the
+    module docstring).  The compositions are grouped again only when the
+    partitions differ."""
+    _refuse(n, budget, "semantic")
+    jobs = _pool_size(n, jobs)
+    results = _map(_pass_chunk, [(n, w, jobs) for w in range(jobs)], jobs)
+    sizes, values = next(results)
+    for part_sizes, part_values in results:
+        sizes.update(part_sizes)
+        values += part_values
+    ordered = sorted(values)  # a list of ints takes half the memory of a set
+    if ordered[0] >= 0 and all(map(lt, ordered, ordered[1:])) and len(values) == len(sizes):
+        return CrossValidationReport(n, len(sizes), len(sizes), True, []), sizes
+    return _grouped_report(n), sizes
+
+
+def cross_validate(n: int, budget: int = DEFAULT_SEMANTIC_BUDGET) -> CrossValidationReport:
+    """Group all compositions of n by ribbon and by normal form, and check
+    that the two partitions coincide.  Mismatches are reported, not raised:
+    only disagreements confirmed by `h_fingerprint`, never a collision."""
+    return cross_validate_with_classes(n, budget)[0]

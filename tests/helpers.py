@@ -5,7 +5,8 @@ from the definitions, with no shared code or clever shortcuts) so that the
 library can be checked against an independent path.  The length polynomials
 get two such paths: the dense divisor recursions, and their closed solutions
 as sums over divisor chains.  The counts by size get the formulas over
-``Fraction``, and the split search keeps its set-lookup version.
+``Fraction``, the split search keeps its set-lookup version, and the ribbon
+values keep their depth-first walk.
 """
 
 from __future__ import annotations
@@ -72,6 +73,38 @@ def classes_by_mask_decode(n: int) -> list[tuple[Composition, int]]:
     wrap each key as a checked Composition."""
     counts = Counter(_normal_form(parts_by_mask_decode(n, m)) for m in range(1 << (n - 1)))
     return [(Composition(p), c) for p, c in sorted(counts.items())]
+
+
+def ribbon_values_depth_first(n: int, h: list[int], p: int) -> dict[Parts, int]:
+    """The value of every ribbon of size n at the point h mod p, from a
+    depth-first walk over the composition tree.
+
+    With s_0 < s_1 < ... the partial sums, G_0 = 1 and
+    G_(i+1) = -sum_(j <= i) G_j h(s_(i+1) - s_j), the ribbon's value is
+    (-1)^length G_length.  Each prefix's G is computed once and shared by its
+    extensions, at O(length) per tree node.
+    """
+    values = {}
+    # parts[i] is the part tried after the prefix that ends at sums[i]
+    sums, signed, parts = [0], [1], [1]
+    while True:
+        t = sums[-1] + parts[-1]
+        if t > n:  # every extension of this prefix is done
+            if len(parts) == 1:
+                return values
+            parts.pop()
+            sums.pop()
+            signed.pop()
+            parts[-1] += 1
+            continue
+        g = -sum(gj * h[t - sj] for gj, sj in zip(signed, sums)) % p
+        if t < n:
+            sums.append(t)
+            signed.append(g)
+            parts.append(1)
+        else:
+            values[tuple(parts)] = (-g if len(parts) & 1 else g) % p
+            parts[-1] += 1
 
 
 def compositions_up_to(n: int) -> list[Parts]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ribbon_schur.bfile import format_bfile
 from ribbon_schur.cli import VARIANTS, count_cap, main
 from ribbon_schur.dirichlet import series_R
+from ribbon_schur import oracle
 from ribbon_schur.oracle import COUNT_BUDGET
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -251,6 +252,43 @@ class TestOracleCheck:
         code, _, err = run(capsys, "oracle-check", "17")
         assert code == 2
         assert "budget" in err
+
+    def test_sizes_past_one_byte_are_refused_at_once(self, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(oracle, "composition_parts_in_range", no_sweep)
+        monkeypatch.setattr(oracle, "_ribbon_row", no_sweep)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle-check", "256", "--budget", "300")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.count("error: ") == 1
+        assert "255" in err
+
+    def test_planted_sorted_parts_are_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_normal_form", lambda alpha: tuple(sorted(alpha)))
+        expected = oracle.cross_validate(6).mismatches
+        code, payload = run_json(capsys, "oracle-check", "6")
+        assert code == 1
+        result = payload["result"]
+        assert result["fingerprint_identical"] is False
+        assert result["consistent"] is False
+        assert result["mismatches"] == expected != []
+
+    def test_collisions_everywhere_stay_consistent(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_h_values", lambda size: [1] * (size + 1))
+        code, payload = run_json(capsys, "oracle-check", "6")
+        assert code == 0
+        assert payload["result"]["consistent"] is True
+        assert payload["result"]["mismatches"] == []
+
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    @pytest.mark.parametrize("n", ["15", "16"])
+    def test_workers_print_what_one_process_prints(self, capsys, n, jobs):
+        assert run(capsys, "oracle-check", n, "--jobs", jobs) == run(capsys, "oracle-check", n)
+        code, payload = run_json(capsys, "oracle-check", n, "--jobs", jobs)
+        assert (code, payload["result"]) == (0, run_json(capsys, "oracle-check", n)[1]["result"])
 
 
 class TestOeisCompare:

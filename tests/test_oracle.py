@@ -15,10 +15,11 @@ from ribbon_schur.oracle import (
     brute_force_classes,
     brute_force_length_histogram,
     cross_validate,
+    cross_validate_with_classes,
     h_fingerprint,
 )
 
-from helpers import classes_by_mask_decode
+from helpers import classes_by_mask_decode, parts_by_mask_decode, ribbon_values_depth_first
 
 
 def C(*parts):
@@ -81,6 +82,17 @@ class TestRibbonValues:
         assert set().union(*by_value.values()) == {tuple(a) for a in enumerate_compositions(n)}
         assert ({frozenset(g) for g in by_value.values()}
                 == {frozenset(g) for g in by_fingerprint.values()})
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_cut_mask_row_matches_depth_first_walk(self, n):
+        values = list(oracle._ribbon_values(n))
+        walked = ribbon_values_depth_first(n, oracle._h_values(n), oracle._MODULUS)
+        assert len(values) == len(walked) == 1 << (n - 1)
+        assert dict(values) == walked
+
+    def test_values_come_in_cut_mask_order(self):
+        parts = [p for p, _ in oracle._ribbon_values(11)]
+        assert parts == [parts_by_mask_decode(11, mask) for mask in range(1 << 10)]
 
 
 class TestBruteForceClasses:
@@ -175,6 +187,33 @@ class TestCrossValidation:
     def test_budget(self):
         with pytest.raises(BudgetError):
             cross_validate(17)
+        with pytest.raises(ValueError):
+            cross_validate(0)
+
+    def test_sizes_past_one_byte_are_refused_at_once(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(oracle, "composition_parts_in_range", no_sweep)
+        monkeypatch.setattr(oracle, "_ribbon_row", no_sweep)
+        with pytest.raises(BudgetError, match="255"):
+            cross_validate(256, budget=300)
+        with pytest.raises(BudgetError, match="255"):
+            cross_validate_with_classes(256, budget=300, jobs=2)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_one_pass_classes_are_the_exhaustive_classes(self, n):
+        _, sizes = cross_validate_with_classes(n)
+        assert sizes == {bytes(rho): size for rho, size in brute_force_classes(n)}
+
+    def test_workers_hold_disjoint_shares_of_the_classes(self):
+        n = 12
+        shares = [oracle._pass_chunk((n, w, 3)) for w in range(3)]
+        _, sizes = cross_validate_with_classes(n)
+        assert sum(len(part) for part, _ in shares) == len(sizes)
+        assert shares[0][0] + shares[1][0] + shares[2][0] == sizes
+        assert all(len(part) == len(values) for part, values in shares)
+        assert all(len(key) % 3 == w for w, (part, _) in enumerate(shares) for key in part)
 
     def test_report_record(self):
         report = CrossValidationReport(n=4, fingerprint_classes=6, normal_form_classes=6,
@@ -216,6 +255,23 @@ class TestCrossValidation:
         assert report.identical
         assert not report.mismatches
         assert report.fingerprint_classes == series_R(n).integer_coefficients()[n - 1]
+
+    @pytest.mark.parametrize("planted", ["sorted parts", "a class across lengths", "collisions"])
+    def test_workers_report_what_one_process_reports(self, monkeypatch, planted):
+        n = 7
+        if planted == "sorted parts":
+            monkeypatch.setattr(oracle, "_normal_form", lambda alpha: tuple(sorted(alpha)))
+        elif planted == "a class across lengths":
+            # (n) and (1, n - 1) share a key, but no worker meets both
+            normal_form = oracle._normal_form
+            monkeypatch.setattr(oracle, "_normal_form", lambda alpha: (
+                (n,) if alpha in {(1, n - 1), (n - 1, 1)} else normal_form(alpha)))
+        else:
+            monkeypatch.setattr(oracle, "_h_values", lambda size: [1] * (size + 1))
+        serial = cross_validate_with_classes(n)
+        monkeypatch.setattr(oracle, "_pool_size", lambda size, jobs: jobs)
+        assert cross_validate_with_classes(n, jobs=2) == serial
+        assert serial[0].identical is (planted == "collisions")
 
     @pytest.mark.parametrize("n", range(10, 15))
     def test_matches_formula_counts(self, n):

@@ -132,6 +132,7 @@ class TestFreshErrorPaths:
         ["count", "--max-n", "20000"],
         ["count-length", "99999"],
         ["oracle-check", "17"],
+        ["oracle-check", "256", "--budget", "300"],
         ["oeis-compare", "{malformed}"],
         ["oeis-compare", "{missing}"],
         ["no-such-command"],
